@@ -10,8 +10,7 @@ import (
 )
 
 // BenchmarkAddBulk measures the store's write path at 1k/10k/100k
-// entries on the scaling workload (4-variable hypercube, d = 3 index
-// regime): one AddBatch call versus a loop of per-call Adds. ns/op is
+// entries on the scaling workload (4-variable hypercube): one AddBatch call versus a loop of per-call Adds. ns/op is
 // the cost of ingesting the WHOLE batch into a fresh store.
 //
 // This is the headline number of the amortized write path: under the
@@ -31,13 +30,13 @@ func BenchmarkAddBulk(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("n=%d/batch", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s := store.NewWithOptions(space.MetricL1, store.Options{RadiusHint: scalingD})
+				s := store.New(space.MetricL1)
 				s.AddBatch(entries)
 			}
 		})
 		b.Run(fmt.Sprintf("n=%d/perAdd", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s := store.NewWithOptions(space.MetricL1, store.Options{RadiusHint: scalingD})
+				s := store.New(space.MetricL1)
 				for _, e := range entries {
 					s.Add(e.Config, e.Lambda)
 				}
@@ -64,7 +63,7 @@ func BenchmarkAddBulkRestore(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := store.NewWithOptions(space.MetricL1, store.Options{RadiusHint: scalingD})
+		s := store.New(space.MetricL1)
 		s.AddBatch(entries)
 	}
 }

@@ -113,7 +113,8 @@ func TestLiveOptimisationWithKriging(t *testing.T) {
 }
 
 // TestSqueezeNetReplaySmoke keeps the fifth benchmark wired end-to-end in
-// the test suite with a tiny image set.
+// the test suite: it records the Small trajectory and replays it at two
+// distances.
 func TestSqueezeNetReplaySmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("squeezenet recording is slow")
@@ -122,7 +123,6 @@ func TestSqueezeNetReplaySmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Shrink: replace the simulator with a 15-image variant for speed.
 	trace, err := sp.Record(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)

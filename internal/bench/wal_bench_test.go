@@ -37,10 +37,7 @@ func BenchmarkAddBulkWAL(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/batch", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				s, err := store.Open(space.MetricL1, store.Options{
-					RadiusHint: scalingD,
-					Durability: &store.DurabilityOptions{Dir: b.TempDir()},
-				})
+				s, err := store.Open(space.MetricL1, store.Options{Durability: &store.DurabilityOptions{Dir: b.TempDir()}})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -70,10 +67,7 @@ func BenchmarkRecovery(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
 		entries := walEntries(n)
 		dir := b.TempDir()
-		s, err := store.Open(space.MetricL1, store.Options{
-			RadiusHint: scalingD,
-			Durability: &store.DurabilityOptions{Dir: dir},
-		})
+		s, err := store.Open(space.MetricL1, store.Options{Durability: &store.DurabilityOptions{Dir: dir}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -94,10 +88,7 @@ func BenchmarkRecovery(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r, err := store.Open(space.MetricL1, store.Options{
-					RadiusHint: scalingD,
-					Durability: &store.DurabilityOptions{Dir: dir},
-				})
+				r, err := store.Open(space.MetricL1, store.Options{Durability: &store.DurabilityOptions{Dir: dir}})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/fnv1a"
 	"repro/internal/space"
 	"repro/internal/store"
 )
@@ -39,38 +40,23 @@ type predictGroup struct {
 	qx   [][]float64 // member query points as floats
 }
 
-// FNV-1a over float bit patterns; the support fingerprint used to bucket
-// batch members before the exact (order-sensitive) comparison.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnvFloat64(h uint64, v float64) uint64 {
-	b := math.Float64bits(v)
-	for i := 0; i < 8; i++ {
-		h = (h ^ (b & 0xff)) * fnvPrime64
-		b >>= 8
-	}
-	return h
-}
-
 // supportKey fingerprints a neighbourhood's ordered coordinates and
-// values. Order matters: kriging results are bit-identical only for the
-// same support order, and the store's query order is deterministic
-// (insertion order, or (distance, sequence) when a k-cap truncates), so
-// queries that resolve the same support group together exactly when the
-// blocked solve can serve them all.
+// values with FNV-1a over their float bit patterns; it buckets batch
+// members before the exact (order-sensitive) comparison. Order matters:
+// kriging results are bit-identical only for the same support order,
+// and the store's query order is deterministic (insertion order, or
+// (distance, sequence) when a k-cap truncates), so queries that resolve
+// the same support group together exactly when the blocked solve can
+// serve them all.
 func supportKey(nb *store.Neighborhood) uint64 {
-	h := uint64(fnvOffset64)
-	h = fnvFloat64(h, float64(nb.Len()))
+	h := fnv1a.Mix(fnv1a.Offset, math.Float64bits(float64(nb.Len())))
 	for _, c := range nb.Coords {
 		for _, v := range c {
-			h = fnvFloat64(h, v)
+			h = fnv1a.Mix(h, math.Float64bits(v))
 		}
 	}
 	for _, v := range nb.Values {
-		h = fnvFloat64(h, v)
+		h = fnv1a.Mix(h, math.Float64bits(v))
 	}
 	return h
 }

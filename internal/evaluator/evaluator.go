@@ -127,16 +127,6 @@ type Options struct {
 	// StoreShards overrides the shard count of the support store; zero
 	// selects store.DefaultShardCount.
 	StoreShards int
-	// StoreIndex selects the support store's spatial-index mode. The
-	// zero value (store.IndexAuto) buckets configurations on a lattice
-	// grid sized from the query radius (D, or DMax when adaptive growth
-	// is on), so radius queries visit only candidate cells instead of
-	// scanning the whole store; store.IndexLinear restores the paper's
-	// plain linear scan. Results are identical either way.
-	StoreIndex store.IndexMode
-	// StoreCellSize overrides the lattice cell edge of the spatial
-	// index; zero derives it from D/DMax.
-	StoreCellSize int
 	// Transform, when non-nil, maps λ into the space in which kriging
 	// is performed, and Untransform maps predictions back. The paper
 	// kriges λ = -P directly (identity); the log-domain ablation uses a
@@ -197,9 +187,6 @@ func (o *Options) validate() error {
 	}
 	if o.StoreShards < 0 {
 		return fmt.Errorf("%w: negative StoreShards %d", ErrBadOptions, o.StoreShards)
-	}
-	if o.StoreCellSize < 0 {
-		return fmt.Errorf("%w: negative StoreCellSize %d", ErrBadOptions, o.StoreCellSize)
 	}
 	if (o.Transform == nil) != (o.Untransform == nil) {
 		return fmt.Errorf("%w: Transform and Untransform must be set together", ErrBadOptions)
@@ -284,18 +271,7 @@ func New(sim Simulator, opts Options) (*Evaluator, error) {
 	if opts.Interp == nil {
 		opts.Interp = &kriging.Ordinary{} // L1 + power variogram defaults
 	}
-	// The query radius regime sizes the index cells: with cell ≈ D the
-	// candidate ring around a query is one cell per axis.
-	hint := opts.D
-	if opts.DMax > hint {
-		hint = opts.DMax
-	}
-	sopts := store.Options{
-		Shards:     opts.StoreShards,
-		Index:      opts.StoreIndex,
-		CellSize:   opts.StoreCellSize,
-		RadiusHint: hint,
-	}
+	sopts := store.Options{Shards: opts.StoreShards}
 	if opts.StateDir != "" {
 		sopts.Durability = &store.DurabilityOptions{Dir: opts.StateDir}
 	}
@@ -515,8 +491,8 @@ func (e *Evaluator) gatherSupport(view storeView, cfg space.Config, qs *queryScr
 	// With a support cap above the decision threshold — every practical
 	// configuration — the radius query is capped at the k nearest too:
 	// min(count, k) > NnMin decides exactly like the full count (k >
-	// NnMin), the shell-pruned search stops early on dense stores, and
-	// the resulting support is bit-identical to NearestK of the full
+	// NnMin), the k nearest are selected straight from the scan's hits,
+	// and the resulting support is bit-identical to NearestK of the full
 	// neighbourhood. The k <= NnMin corner keeps the uncapped query so
 	// the decision still sees the true count.
 	k := e.opts.MaxSupport

@@ -111,7 +111,8 @@ func TestUnrolledMetricsMatchSerialReference(t *testing.T) {
 				if again := m.DistanceFloats(af, bf); again != gf {
 					t.Fatalf("n=%d %v: DistanceFloats not deterministic", n, m)
 				}
-				// Metric axioms the lattice index relies on.
+				// Metric axioms: non-negative, zero on the diagonal,
+				// symmetric.
 				if gf < 0 || m.DistanceFloats(af, af) != 0 {
 					t.Fatalf("n=%d %v: axiom violation", n, m)
 				}

@@ -46,45 +46,54 @@ func TestConcurrentAddLookup(t *testing.T) {
 	}
 }
 
-// TestConcurrentIndexedNeighbors hammers the lattice-bucket query paths
-// while writers grow the index, with a linear-scan twin store as the
-// online oracle: every neighbourhood read from the indexed store must be
-// a plausible prefix-consistent answer, and the final states must agree
-// exactly. Run with -race to validate the copy-on-write bucket
-// publication.
-func TestConcurrentIndexedNeighbors(t *testing.T) {
+// TestConcurrentNeighbors hammers the radius and k-nearest queries while
+// writers grow the store. Every writer must read its own insert back at
+// distance zero, and once quiesced every query surface must agree
+// exactly with a brute-force scan of Entries. Run with -race to validate
+// the lock-free view publication.
+func TestConcurrentNeighbors(t *testing.T) {
 	const goroutines = 8
 	const perG = 150
-	indexed := NewWithOptions(space.MetricL1, Options{Index: IndexLattice, CellSize: 2})
+	s := New(space.MetricL1)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			var buf Neighborhood
 			for i := 0; i < perG; i++ {
 				c := space.Config{g, i % 12, i / 12}
-				indexed.Add(c, float64(g*perG+i))
-				// Small radius exercises the candidate ring, large the
-				// bucket sweep.
-				indexed.Neighbors(c, 2)
-				indexed.Neighbors(c, 40)
+				lam := float64(g*perG + i)
+				s.Add(c, lam)
+				nb := s.NeighborsInto(&buf, c, 2)
+				own := false
+				for j, d := range nb.Dists {
+					own = own || (d == 0 && nb.Values[j] == lam)
+				}
+				if !own {
+					t.Errorf("Neighbors(%v, 2) misses the caller's own insert", c)
+				}
+				s.NearestK(c, 40, 10)
 			}
 		}(g)
 	}
 	wg.Wait()
-	// Quiesced: the indexed store must agree exactly with a linear twin
-	// built from its own entries.
-	linear := NewWithOptions(space.MetricL1, Options{Index: IndexLinear})
-	for _, e := range indexed.Entries() {
-		linear.Add(e.Config, e.Lambda)
+	if s.Len() != goroutines*perG {
+		t.Fatalf("Len = %d, want %d", s.Len(), goroutines*perG)
 	}
-	if indexed.Len() != goroutines*perG || linear.Len() != indexed.Len() {
-		t.Fatalf("Len = %d (twin %d), want %d", indexed.Len(), linear.Len(), goroutines*perG)
-	}
+	entries := s.Entries()
+	snap := s.Snapshot()
+	var buf, kbuf Neighborhood
 	for g := 0; g < goroutines; g++ {
 		w := space.Config{g, 5, 5}
 		for _, d := range []float64{1, 3, 7} {
-			assertSameNeighborhood(t, "quiesced", indexed.Neighbors(w, d), linear.Neighbors(w, d))
+			want := bruteNeighbors(entries, space.MetricL1, w, d)
+			assertSameNeighborhood(t, "quiesced", s.Neighbors(w, d), want)
+			assertSameNeighborhood(t, "quiesced into", s.NeighborsInto(&buf, w, d), want)
+			assertSameNeighborhood(t, "quiesced snapshot", snap.Neighbors(w, d), want)
+			for _, k := range []int{1, 3, 8} {
+				assertSameNeighborhood(t, "quiesced nearest", s.NearestKInto(&kbuf, w, d, k), want.NearestK(k))
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -50,31 +51,45 @@ func TestAddClonesConfig(t *testing.T) {
 	}
 }
 
+// TestNeighborsMatchesBruteForce checks every radius and k-nearest query
+// surface — Neighbors, NeighborsInto on a reused buffer, Snapshot and
+// NearestKInto — against an independent reference scan, under all three
+// metrics, with negative coordinates and overwrites in the mix.
 func TestNeighborsMatchesBruteForce(t *testing.T) {
-	r := rng.New(4)
-	s := New(space.MetricL1)
-	var entries []Entry
-	for i := 0; i < 60; i++ {
-		c := space.Config{r.IntRange(0, 9), r.IntRange(0, 9), r.IntRange(0, 9)}
-		if s.Add(c, float64(i)) {
-			entries = append(entries, Entry{Config: c.Clone(), Lambda: float64(i)})
-		}
-	}
-	q := space.Config{4, 4, 4}
-	for _, d := range []float64{0, 1, 2, 5} {
-		nb := s.Neighbors(q, d)
-		want := 0
-		for _, e := range entries {
-			if float64(space.L1(q, e.Config)) <= d {
-				want++
+	for _, metric := range []space.Metric{space.MetricL1, space.MetricL2, space.MetricLInf} {
+		r := rng.New(4)
+		s := New(metric)
+		// Reference: insertion order, an overwrite keeps its rank.
+		var ref []Entry
+		rank := map[string]int{}
+		for i := 0; i < 200; i++ {
+			c, lam := randConfig(r, 3, -3, 9), float64(i)
+			s.Add(c, lam)
+			if at, ok := rank[c.Key()]; ok {
+				ref[at].Lambda = lam
+			} else {
+				rank[c.Key()] = len(ref)
+				ref = append(ref, Entry{Config: c, Lambda: lam})
 			}
 		}
-		if nb.Len() != want {
-			t.Errorf("d=%v: Neighbors = %d, brute force = %d", d, nb.Len(), want)
+		if s.Len() != len(ref) {
+			t.Fatalf("%v: Len = %d, want %d", metric, s.Len(), len(ref))
 		}
-		for i, dist := range nb.Dists {
-			if dist > d {
-				t.Errorf("d=%v: neighbour %d at distance %v", d, i, dist)
+		snap := s.Snapshot()
+		var buf, kbuf Neighborhood
+		for q := 0; q < 20; q++ {
+			w := randConfig(r, 3, -4, 10)
+			for _, d := range []float64{0, 1, 2, 5} {
+				want := bruteNeighbors(ref, metric, w, d)
+				ctx := fmt.Sprintf("%v w=%v d=%v", metric, w, d)
+				assertSameNeighborhood(t, ctx, s.Neighbors(w, d), want)
+				assertSameNeighborhood(t, "into "+ctx, s.NeighborsInto(&buf, w, d), want)
+				assertSameNeighborhood(t, "snapshot "+ctx, snap.Neighbors(w, d), want)
+				for _, k := range []int{1, 3, 8} {
+					kctx := fmt.Sprintf("%s k=%d", ctx, k)
+					assertSameNeighborhood(t, kctx, s.NearestKInto(&kbuf, w, d, k), want.NearestK(k))
+					assertSameNeighborhood(t, "snapshot "+kctx, snap.NearestK(w, d, k), want.NearestK(k))
+				}
 			}
 		}
 	}
