@@ -44,13 +44,26 @@ func batchSupport(n, k int, seed uint64) (xs [][]float64, ys []float64, queries 
 	return xs, ys, queries
 }
 
+// predictEach is the sequential ablation arm of the blocked path: one
+// K = 1 Predict per query against the same warm cached factor.
+func predictEach(o *kriging.Ordinary, xs [][]float64, ys []float64, queries [][]float64, out []float64) error {
+	for j, q := range queries {
+		v, err := o.Predict(xs, ys, q)
+		if err != nil {
+			return err
+		}
+		out[j] = v
+	}
+	return nil
+}
+
 // BenchmarkPredictBatch measures K predictions against one warm cached
 // factor: the blocked multi-RHS path (PredictBatch) vs the sequential
-// ablation arm (SequentialBatch), across support sizes and batch widths.
-// The spherical model keeps γ evaluation cheap so the rows expose the
-// triangular-solve fraction the blocked kernels accelerate; K=1 pins the
-// blocked path's small-batch overhead (it degrades to the single-RHS
-// kernels).
+// ablation arm (a loop of Predict calls), across support sizes and batch
+// widths. The spherical model keeps γ evaluation cheap so the rows
+// expose the triangular-solve fraction the blocked kernels accelerate;
+// K=1 pins the blocked path's small-batch overhead (it degrades to the
+// single-RHS kernels).
 func BenchmarkPredictBatch(b *testing.B) {
 	model := &variogram.SphericalModel{Range: 40, Sill: 9, Nugget: 0.1}
 	for _, n := range []int{50, 100, 200} {
@@ -58,19 +71,22 @@ func BenchmarkPredictBatch(b *testing.B) {
 			xs, ys, queries := batchSupport(n, k, uint64(n)*31+uint64(k))
 			out := make([]float64, k)
 			for _, arm := range []struct {
-				name string
-				seq  bool
-			}{{"blocked", false}, {"sequential", true}} {
+				name    string
+				predict func(o *kriging.Ordinary) error
+			}{
+				{"blocked", func(o *kriging.Ordinary) error { return o.PredictBatch(xs, ys, queries, out) }},
+				{"sequential", func(o *kriging.Ordinary) error { return predictEach(o, xs, ys, queries, out) }},
+			} {
 				b.Run(fmt.Sprintf("%s/n=%d/k=%d", arm.name, n, k), func(b *testing.B) {
-					o := &kriging.Ordinary{Model: model, CacheSize: 8, SequentialBatch: arm.seq}
+					o := &kriging.Ordinary{Model: model, CacheSize: 8}
 					// Warm the factor cache; the rounds measure prediction,
 					// not factorisation.
-					if err := o.PredictBatch(xs, ys, queries, out); err != nil {
+					if err := arm.predict(o); err != nil {
 						b.Fatal(err)
 					}
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if err := o.PredictBatch(xs, ys, queries, out); err != nil {
+						if err := arm.predict(o); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -93,16 +109,17 @@ func TestBatchPredictSpeedup(t *testing.T) {
 	model := &variogram.SphericalModel{Range: 40, Sill: 9, Nugget: 0.1}
 	xs, ys, queries := batchSupport(n, k, 1234)
 
-	blocked := &kriging.Ordinary{Model: model, CacheSize: 8}
-	sequential := &kriging.Ordinary{Model: model, CacheSize: 8, SequentialBatch: true}
+	o := &kriging.Ordinary{Model: model, CacheSize: 8}
 	outB := make([]float64, k)
 	outS := make([]float64, k)
-	// Warm both factor caches so the measurement is the per-round predict
+	blocked := func() error { return o.PredictBatch(xs, ys, queries, outB) }
+	sequential := func() error { return predictEach(o, xs, ys, queries, outS) }
+	// Warm the factor cache so the measurement is the per-round predict
 	// fraction, not the one-off factorisation.
-	if err := blocked.PredictBatch(xs, ys, queries, outB); err != nil {
+	if err := blocked(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sequential.PredictBatch(xs, ys, queries, outS); err != nil {
+	if err := sequential(); err != nil {
 		t.Fatal(err)
 	}
 	for j := range outB {
@@ -111,10 +128,10 @@ func TestBatchPredictSpeedup(t *testing.T) {
 		}
 	}
 
-	measure := func(o *kriging.Ordinary, out []float64, rounds int) time.Duration {
+	measure := func(arm func() error, rounds int) time.Duration {
 		start := time.Now()
 		for i := 0; i < rounds; i++ {
-			if err := o.PredictBatch(xs, ys, queries, out); err != nil {
+			if err := arm(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -124,13 +141,13 @@ func TestBatchPredictSpeedup(t *testing.T) {
 	// interval is long enough to swamp timer noise, then take the best of
 	// three paired runs (scheduler hiccups only ever slow a run down).
 	rounds := 1
-	for measure(sequential, outS, rounds) < 10*time.Millisecond {
+	for measure(sequential, rounds) < 10*time.Millisecond {
 		rounds *= 2
 	}
 	ratio := 0.0
 	for trial := 0; trial < 3; trial++ {
-		seqT := measure(sequential, outS, rounds)
-		blkT := measure(blocked, outB, rounds)
+		seqT := measure(sequential, rounds)
+		blkT := measure(blocked, rounds)
 		if r := float64(seqT) / float64(blkT); r > ratio {
 			ratio = r
 		}

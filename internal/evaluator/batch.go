@@ -16,10 +16,9 @@ import (
 // simulator's latency AND the kriging linear algebra scale across cores.
 // Before the workers start, a pre-pass detects batch members whose
 // neighbourhood search resolves the same support and answers each such
-// group through one blocked multi-RHS kriging solve (see BatchPredictor
-// and Options.DisableBatchPredict); answers are bit-identical to the
-// per-query path. It is the background-context form of
-// EvaluateAllContext.
+// group through one blocked multi-RHS kriging solve (see
+// BatchPredictor); answers are bit-identical to the per-query path. It
+// is the background-context form of EvaluateAllContext.
 //
 // The batch semantics match issuing the queries one at a time EXCEPT that
 // no query in the batch observes another batch member — neither as an

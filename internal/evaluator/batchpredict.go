@@ -105,10 +105,10 @@ func sameSupport(g *predictGroup, nb *store.Neighborhood) bool {
 // NBatchPredict/NInterp).
 //
 // It returns nil maps when the pre-pass does not apply: interpolation
-// off (D == 0), an interpolator without PredictBatch, variance gating
-// without PredictVarBatch, or Options.DisableBatchPredict.
+// off (D == 0), an interpolator without PredictBatch, or variance
+// gating without PredictVarBatch.
 func (e *Evaluator) batchPredictPrepass(ctx context.Context, snap storeView, cfgs []space.Config, results []Result, stats *counters) (resolved, needsSim []bool) {
-	if e.opts.DisableBatchPredict || e.opts.D <= 0 {
+	if e.opts.D <= 0 {
 		return nil, nil
 	}
 	bp, ok := e.opts.Interp.(BatchPredictor)
@@ -231,30 +231,13 @@ func (e *Evaluator) serveGroup(bp BatchPredictor, bvp BatchVariancePredictor, g 
 	}
 }
 
-// serveGroupMember is the sequential fallback for one member of a group
+// serveGroupMember is the per-query fallback for one member of a group
 // whose blocked solve failed; ys is already transformed.
 func (e *Evaluator) serveGroupMember(g *predictGroup, i, idx int, ys []float64, results []Result, resolved, needsSim []bool, stats *counters) {
-	var (
-		pred float64
-		err  error
-	)
-	if vp, ok := e.opts.Interp.(VariancePredictor); ok && e.opts.MaxVariance > 0 {
-		var variance float64
-		pred, variance, err = vp.PredictVar(g.xs, ys, g.qx[i])
-		if err == nil && variance > e.opts.MaxVariance {
-			stats.nVarRejected.Add(1)
-			needsSim[idx] = true
-			return
-		}
-	} else {
-		pred, err = e.opts.Interp.Predict(g.xs, ys, g.qx[i])
-	}
+	pred, err := e.predictGated(g.xs, ys, g.qx[i], stats)
 	if err != nil {
 		needsSim[idx] = true
 		return
-	}
-	if e.opts.Untransform != nil {
-		pred = e.opts.Untransform(pred)
 	}
 	results[idx] = Result{Lambda: pred, Source: Interpolated, Neighbors: len(g.xs)}
 	resolved[idx] = true

@@ -21,33 +21,64 @@ func seedCluster(ev *Evaluator) {
 	})
 }
 
-// TestEvaluateAllBatchPredict pins the shared-support pre-pass end to
-// end: a batch of interpolatable queries sharing one neighbourhood is
-// served through blocked kriging solves, bit-identical to the
-// DisableBatchPredict ablation arm, without extra simulations.
-func TestEvaluateAllBatchPredict(t *testing.T) {
-	queries := []space.Config{{1, 1}, {1, 0}, {0, 1}, {2, 1}, {1, 2}}
-	run := func(disable bool) (*planeSim, []Result, Stats) {
-		t.Helper()
-		sim := newPlaneSim()
-		ev, err := New(sim, Options{D: 8, NnMin: 1, DisableBatchPredict: disable,
-			Interp: &kriging.Ordinary{CacheSize: 8}})
+// perQuery is the reference arm of the pre-pass tests: every query is
+// answered by Evaluate on its own fresh evaluator seeded with
+// seedCluster — exactly the store EvaluateAll's snapshot shows each batch
+// member — against the one shared simulator. It returns the answers and
+// the counters summed over the evaluators.
+func perQuery(t *testing.T, sim Simulator, opts func() Options, queries []space.Config) ([]Result, Stats) {
+	t.Helper()
+	results := make([]Result, len(queries))
+	var sum Stats
+	for i, q := range queries {
+		ev, err := New(sim, opts())
 		if err != nil {
 			t.Fatal(err)
 		}
 		seedCluster(ev)
-		results, err := ev.EvaluateAll(queries, 4)
-		if err != nil {
+		if results[i], err = ev.Evaluate(q); err != nil {
 			t.Fatal(err)
 		}
-		return sim, results, ev.Stats()
+		st := ev.Stats()
+		sum.NSim += st.NSim
+		sum.NInterp += st.NInterp
+		sum.SumNeigh += st.SumNeigh
+		sum.NVarRejected += st.NVarRejected
+		sum.NBatchPredict += st.NBatchPredict
 	}
-	simB, batch, stB := run(false)
-	simS, seq, stS := run(true)
+	return results, sum
+}
+
+// batchArm answers queries through one EvaluateAll on a fresh evaluator
+// seeded with seedCluster.
+func batchArm(t *testing.T, sim Simulator, opts Options, queries []space.Config, workers int) ([]Result, Stats) {
+	t.Helper()
+	ev, err := New(sim, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedCluster(ev)
+	results, err := ev.EvaluateAll(queries, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results, ev.Stats()
+}
+
+// TestEvaluateAllBatchPredict pins the shared-support pre-pass end to
+// end: a batch of interpolatable queries sharing one neighbourhood is
+// served through blocked kriging solves, bit-identical to answering each
+// query on its own, without extra simulations.
+func TestEvaluateAllBatchPredict(t *testing.T) {
+	queries := []space.Config{{1, 1}, {1, 0}, {0, 1}, {2, 1}, {1, 2}}
+	opts := func() Options { return Options{D: 8, NnMin: 1, Interp: &kriging.Ordinary{CacheSize: 8}} }
+	simB, simS := newPlaneSim(), newPlaneSim()
+	batch, stB := batchArm(t, simB, opts(), queries, 4)
+	seq, stS := perQuery(t, simS, opts, queries)
 
 	for i := range queries {
 		if batch[i].Lambda != seq[i].Lambda {
-			t.Errorf("query %v: batch λ = %v != sequential %v (must be bit-identical)",
+			t.Errorf("query %v: batch λ = %v != per-query %v (must be bit-identical)",
 				queries[i], batch[i].Lambda, seq[i].Lambda)
 		}
 		if batch[i].Source != Interpolated || seq[i].Source != Interpolated {
@@ -65,10 +96,10 @@ func TestEvaluateAllBatchPredict(t *testing.T) {
 			stB.NBatchPredict, len(queries))
 	}
 	if stS.NBatchPredict != 0 {
-		t.Errorf("ablation arm NBatchPredict = %d, want 0", stS.NBatchPredict)
+		t.Errorf("per-query arm NBatchPredict = %d, want 0", stS.NBatchPredict)
 	}
 	if stB.NInterp != stS.NInterp || stB.SumNeigh != stS.SumNeigh {
-		t.Errorf("stats diverge: batch %+v vs sequential %+v", stB, stS)
+		t.Errorf("stats diverge: batch %+v vs per-query %+v", stB, stS)
 	}
 }
 
@@ -120,37 +151,26 @@ func TestEvaluateAllBatchPredictMixed(t *testing.T) {
 
 // TestEvaluateAllBatchPredictVarianceGate runs the batch path under a
 // variance gate that rejects every prediction: gated members fall back
-// to simulation exactly like the sequential path, and the rejection
+// to simulation exactly like the per-query path, and the rejection
 // counter moves identically in both arms.
 func TestEvaluateAllBatchPredictVarianceGate(t *testing.T) {
 	queries := []space.Config{{1, 1}, {1, 0}, {0, 1}}
-	run := func(disable bool) (*planeSim, Stats) {
-		t.Helper()
-		sim := newPlaneSim()
-		ev, err := New(sim, Options{D: 8, NnMin: 1, MaxVariance: 1e-12,
-			DisableBatchPredict: disable, Interp: &kriging.Ordinary{CacheSize: 8}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		seedCluster(ev)
-		results, err := ev.EvaluateAll(queries, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, res := range results {
-			if res.Source != Simulated {
-				t.Errorf("query %v: source %v, want simulated (variance gated)", queries[i], res.Source)
-			}
-		}
-		return sim, ev.Stats()
+	opts := func() Options {
+		return Options{D: 8, NnMin: 1, MaxVariance: 1e-12, Interp: &kriging.Ordinary{CacheSize: 8}}
 	}
-	simB, stB := run(false)
-	simS, stS := run(true)
+	simB, simS := newPlaneSim(), newPlaneSim()
+	batch, stB := batchArm(t, simB, opts(), queries, 2)
+	seq, stS := perQuery(t, simS, opts, queries)
+	for i := range queries {
+		if batch[i].Source != Simulated || seq[i].Source != Simulated {
+			t.Errorf("query %v: sources %v / %v, want simulated (variance gated)", queries[i], batch[i].Source, seq[i].Source)
+		}
+	}
 	if simB.calls != len(queries) || simS.calls != len(queries) {
 		t.Errorf("simulator calls %d/%d, want %d each", simB.calls, simS.calls, len(queries))
 	}
 	if stB.NVarRejected != stS.NVarRejected || stB.NVarRejected == 0 {
-		t.Errorf("NVarRejected %d (batch) vs %d (sequential), want equal and nonzero",
+		t.Errorf("NVarRejected %d (batch) vs %d (per-query), want equal and nonzero",
 			stB.NVarRejected, stS.NVarRejected)
 	}
 	if stB.NBatchPredict != 0 {
@@ -159,34 +179,25 @@ func TestEvaluateAllBatchPredictVarianceGate(t *testing.T) {
 }
 
 // TestEvaluateAllBatchPredictTransform runs the pre-pass under a
-// log-domain transform pair and checks it against the sequential arm:
+// log-domain transform pair and checks it against the per-query arm:
 // the transform must be applied once per group with untransformed
 // answers bit-identical to the per-query path.
 func TestEvaluateAllBatchPredictTransform(t *testing.T) {
 	queries := []space.Config{{1, 1}, {2, 1}, {1, 2}}
 	tf := func(v float64) float64 { return math.Log1p(v) }
 	utf := func(v float64) float64 { return math.Expm1(v) }
-	run := func(disable bool) []Result {
-		t.Helper()
-		sim := newPlaneSim()
-		ev, err := New(sim, Options{D: 8, NnMin: 1, Transform: tf, Untransform: utf,
-			DisableBatchPredict: disable, Interp: &kriging.Ordinary{CacheSize: 8}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		seedCluster(ev)
-		results, err := ev.EvaluateAll(queries, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return results
+	opts := func() Options {
+		return Options{D: 8, NnMin: 1, Transform: tf, Untransform: utf, Interp: &kriging.Ordinary{CacheSize: 8}}
 	}
-	batch := run(false)
-	seq := run(true)
+	batch, stB := batchArm(t, newPlaneSim(), opts(), queries, 2)
+	seq, _ := perQuery(t, newPlaneSim(), opts, queries)
 	for i := range queries {
 		if batch[i].Lambda != seq[i].Lambda || batch[i].Source != seq[i].Source {
-			t.Errorf("query %v: batch (%v, %v) != sequential (%v, %v)", queries[i],
+			t.Errorf("query %v: batch (%v, %v) != per-query (%v, %v)", queries[i],
 				batch[i].Lambda, batch[i].Source, seq[i].Lambda, seq[i].Source)
 		}
+	}
+	if stB.NBatchPredict != len(queries) {
+		t.Errorf("NBatchPredict = %d, want %d (the transformed group took the blocked path)", stB.NBatchPredict, len(queries))
 	}
 }

@@ -132,16 +132,6 @@ type Options struct {
 	// kriges λ = -P directly (identity); the log-domain ablation uses a
 	// dB pair. Both must be set together.
 	Transform, Untransform func(float64) float64
-	// DisableBatchPredict turns off EvaluateAll's shared-support batch
-	// prediction: by default, batch queries whose neighbourhood search
-	// resolves the same support (same points, same order — the shape of a
-	// min+1/max-1 competition round) are answered through one blocked
-	// multi-RHS kriging solve when the interpolator implements
-	// BatchPredictor. Results are bit-identical either way (that is the
-	// BatchPredictor contract); the flag exists for ablation and
-	// bisection. Stats.NBatchPredict counts the queries the batch path
-	// served.
-	DisableBatchPredict bool
 	// DisableShedding turns off the engine's deadline-aware load
 	// shedding: requests park on the admission semaphore until their
 	// context expires, however hopeless the queue — the pre-resilience
@@ -562,19 +552,29 @@ func (e *Evaluator) predictUngated(nb *store.Neighborhood, cfg space.Config, qs 
 
 func (e *Evaluator) interpolate(nb *store.Neighborhood, cfg space.Config, stats *counters, qs *queryScratch) (float64, error) {
 	ys := e.prepInterp(nb, cfg, qs)
+	return e.predictGated(nb.Coords, ys, qs.x, stats)
+}
+
+// predictGated runs one prediction on (transformed) support values ys:
+// gated on the kriging variance when MaxVariance is set and the
+// interpolator reports one (a rejection counts in nVarRejected and
+// returns errVarianceGate), then mapped back through Untransform. It is
+// the single-query answer of both the per-query path and a batch group
+// member whose blocked solve failed.
+func (e *Evaluator) predictGated(xs [][]float64, ys, x []float64, stats *counters) (float64, error) {
 	var (
 		pred float64
 		err  error
 	)
 	if vp, ok := e.opts.Interp.(VariancePredictor); ok && e.opts.MaxVariance > 0 {
 		var variance float64
-		pred, variance, err = vp.PredictVar(nb.Coords, ys, qs.x)
+		pred, variance, err = vp.PredictVar(xs, ys, x)
 		if err == nil && variance > e.opts.MaxVariance {
 			stats.nVarRejected.Add(1)
 			return 0, errVarianceGate
 		}
 	} else {
-		pred, err = e.opts.Interp.Predict(nb.Coords, ys, qs.x)
+		pred, err = e.opts.Interp.Predict(xs, ys, x)
 	}
 	if err != nil {
 		return 0, err

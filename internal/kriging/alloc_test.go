@@ -52,6 +52,28 @@ func TestAllocsOrdinaryPredictCacheHit(t *testing.T) {
 	}
 }
 
+// TestAllocsOrdinaryPredictVarCacheHit gates the variance face, the
+// path MaxVariance gating and sequential infill take: a K = 1 call of
+// the blocked kernel must be as heap-free on a hit as the value face.
+func TestAllocsOrdinaryPredictVarCacheHit(t *testing.T) {
+	skipUnderRace(t)
+	r := rng.New(25)
+	xs, ys := drawSupport(r, 10, 23)
+	o := &Ordinary{}
+	q := append([]float64(nil), xs[0]...)
+	q[0] += 0.5
+	if _, _, err := o.PredictVar(xs, ys, q); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		if _, _, err := o.PredictVar(xs, ys, q); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 0 {
+		t.Errorf("cache-hit Ordinary.PredictVar allocates %.2f per run, want 0", got)
+	}
+}
+
 // TestAllocsSimplePredictCacheHit mirrors the gate for simple kriging's
 // Cholesky-factored covariance systems.
 func TestAllocsSimplePredictCacheHit(t *testing.T) {

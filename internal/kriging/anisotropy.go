@@ -1,9 +1,6 @@
 package kriging
 
-import (
-	"errors"
-	"math"
-)
+import "math"
 
 // WeightedL1 returns a Distance computing Σ scale_d·|a_d - b_d|. With
 // per-axis scales proportional to the field's sensitivity along each
@@ -20,88 +17,4 @@ func WeightedL1(scales []float64) Distance {
 		}
 		return d
 	}
-}
-
-// ErrNoAxisInfo is returned when no sample pair isolates any axis, so
-// per-axis sensitivities cannot be estimated.
-var ErrNoAxisInfo = errors.New("kriging: no axis-aligned sample pairs for anisotropy estimation")
-
-// EstimateAxisScales estimates per-dimension sensitivity scales from
-// samples: for every pair of samples differing in exactly one dimension,
-// |Δy| / |Δx_d| contributes to that dimension's slope estimate. Slopes
-// are normalised to mean 1 so the scaled distances stay comparable to
-// plain L1. Dimensions never isolated by any pair inherit the mean
-// slope (scale 1).
-func EstimateAxisScales(xs [][]float64, ys []float64) ([]float64, error) {
-	n := len(xs)
-	if n < 2 {
-		return nil, ErrNoAxisInfo
-	}
-	if len(ys) != n {
-		return nil, errors.New("kriging: coordinate/value count mismatch")
-	}
-	nv := len(xs[0])
-	sum := make([]float64, nv)
-	cnt := make([]int, nv)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			axis := -1
-			ok := true
-			for d := 0; d < nv; d++ {
-				if xs[i][d] != xs[j][d] {
-					if axis != -1 {
-						ok = false
-						break
-					}
-					axis = d
-				}
-			}
-			if !ok || axis == -1 {
-				continue
-			}
-			dx := math.Abs(xs[i][axis] - xs[j][axis])
-			if dx == 0 {
-				continue
-			}
-			sum[axis] += math.Abs(ys[i]-ys[j]) / dx
-			cnt[axis]++
-		}
-	}
-	scales := make([]float64, nv)
-	var total float64
-	seen := 0
-	for d := 0; d < nv; d++ {
-		if cnt[d] > 0 {
-			scales[d] = sum[d] / float64(cnt[d])
-			total += scales[d]
-			seen++
-		}
-	}
-	if seen == 0 {
-		return nil, ErrNoAxisInfo
-	}
-	mean := total / float64(seen)
-	if mean == 0 {
-		// A perfectly flat field: all axes equivalent.
-		for d := range scales {
-			scales[d] = 1
-		}
-		return scales, nil
-	}
-	for d := 0; d < nv; d++ {
-		if cnt[d] == 0 {
-			scales[d] = 1
-			continue
-		}
-		scales[d] /= mean
-		// Keep scales within a sane dynamic range so a single flat axis
-		// cannot collapse all its distances to zero.
-		if scales[d] < 0.05 {
-			scales[d] = 0.05
-		}
-		if scales[d] > 20 {
-			scales[d] = 20
-		}
-	}
-	return scales, nil
 }

@@ -1,7 +1,6 @@
 package kriging
 
 import (
-	"errors"
 	"math"
 	"testing"
 )
@@ -23,95 +22,6 @@ func TestWeightedL1CopiesScales(t *testing.T) {
 	}
 }
 
-func TestEstimateAxisScalesRecoversSensitivity(t *testing.T) {
-	// Field y = 10·x0 + x1 sampled on axis-aligned pairs: axis 0 is 10x
-	// more sensitive.
-	var xs [][]float64
-	var ys []float64
-	for i := 0; i <= 4; i++ {
-		xs = append(xs, []float64{float64(i), 0})
-		ys = append(ys, 10*float64(i))
-	}
-	for j := 1; j <= 4; j++ {
-		xs = append(xs, []float64{0, float64(j)})
-		ys = append(ys, float64(j))
-	}
-	scales, err := EstimateAxisScales(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := scales[0] / scales[1]
-	if math.Abs(ratio-10) > 1 {
-		t.Errorf("scale ratio = %v, want ~10 (scales %v)", ratio, scales)
-	}
-	// Normalised to mean ~1.
-	if m := (scales[0] + scales[1]) / 2; math.Abs(m-1) > 0.01 {
-		t.Errorf("mean scale = %v, want 1", m)
-	}
-}
-
-func TestEstimateAxisScalesUnseenAxisDefaultsToOne(t *testing.T) {
-	xs := [][]float64{{0, 0}, {1, 0}, {2, 0}}
-	ys := []float64{0, 3, 6}
-	scales, err := EstimateAxisScales(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scales[1] != 1 {
-		t.Errorf("unseen axis scale = %v, want 1", scales[1])
-	}
-}
-
-func TestEstimateAxisScalesErrors(t *testing.T) {
-	if _, err := EstimateAxisScales(nil, nil); !errors.Is(err, ErrNoAxisInfo) {
-		t.Error("empty input accepted")
-	}
-	// Pairs that differ in two axes carry no single-axis information.
-	xs := [][]float64{{0, 0}, {1, 1}}
-	ys := []float64{0, 1}
-	if _, err := EstimateAxisScales(xs, ys); !errors.Is(err, ErrNoAxisInfo) {
-		t.Error("diagonal-only pairs accepted")
-	}
-	if _, err := EstimateAxisScales(xs, ys[:1]); err == nil {
-		t.Error("mismatched lengths accepted")
-	}
-}
-
-func TestEstimateAxisScalesFlatField(t *testing.T) {
-	xs := [][]float64{{0, 0}, {1, 0}, {0, 1}}
-	ys := []float64{5, 5, 5}
-	scales, err := EstimateAxisScales(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for d, s := range scales {
-		if s != 1 {
-			t.Errorf("flat field scale[%d] = %v", d, s)
-		}
-	}
-}
-
-func TestEstimateAxisScalesClamping(t *testing.T) {
-	// An extremely dominant axis must stay within the [0.05, 20] band.
-	var xs [][]float64
-	var ys []float64
-	for i := 0; i <= 3; i++ {
-		xs = append(xs, []float64{float64(i), 0})
-		ys = append(ys, 1e6*float64(i))
-	}
-	for j := 1; j <= 3; j++ {
-		xs = append(xs, []float64{0, float64(j)})
-		ys = append(ys, 1e-6*float64(j))
-	}
-	scales, err := EstimateAxisScales(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scales[0] > 20 || scales[1] < 0.05 {
-		t.Errorf("scales not clamped: %v", scales)
-	}
-}
-
 func TestAnisotropicKrigingImprovesOnAnisotropicField(t *testing.T) {
 	// Field y = 8·x0 + x1 on a sparse lattice; query interpolates better
 	// when the distance respects the anisotropy.
@@ -125,14 +35,8 @@ func TestAnisotropicKrigingImprovesOnAnisotropicField(t *testing.T) {
 			}
 		}
 	}
-	scales, err := EstimateAxisScales(xs, ys)
-	if err != nil {
-		// The checkerboard has no axis-aligned pairs at distance 1 but
-		// does at distance 2 — if not, fall back to a fixed scale.
-		scales = []float64{8, 1}
-	}
 	iso := &Ordinary{}
-	aniso := &Ordinary{Dist: WeightedL1(scales)}
+	aniso := &Ordinary{Dist: WeightedL1([]float64{8, 1})}
 	q := []float64{1, 2}
 	truth := 8*1.0 + 2.0
 	isoGot, err := iso.Predict(xs, ys, q)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/linalg"
 	"repro/internal/rng"
 	"repro/internal/variogram"
 )
@@ -26,83 +27,211 @@ func bitEqual(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
+// denseReference solves one query the textbook way, independent of the
+// cached, blocked and incrementally grown factors: assemble the full
+// dense system of the variant, factorise it with linalg.Factorize and
+// solve with SolveInto. It returns the value and, for ordinary kriging,
+// the variance Σ μ_k·γ_ik + m. ok is false when the dense system is
+// singular.
+func denseReference(variant string, model variogram.Model, xs [][]float64, ys []float64, q []float64) (val, variance float64, ok bool) {
+	n := len(xs)
+	switch variant {
+	case "simple":
+		// C(h) = sill - γ(h), sill the model plateau (bounded families)
+		// or the largest support semivariance (unbounded ones).
+		var sill float64
+		switch m := model.(type) {
+		case *variogram.SphericalModel:
+			sill = m.Sill + m.Nugget
+		case *variogram.ExponentialModel:
+			sill = m.Sill + m.Nugget
+		default:
+			for j := range xs {
+				for k := j + 1; k < n; k++ {
+					sill = math.Max(sill, model.Gamma(L1Distance(xs[j], xs[k])))
+				}
+			}
+		}
+		var mean float64
+		for _, y := range ys {
+			mean += y
+		}
+		mean /= float64(n)
+		c := linalg.NewMatrix(n, n)
+		rhs := make([]float64, n)
+		for j := range xs {
+			for k := range xs {
+				c.Set(j, k, sill-model.Gamma(L1Distance(xs[j], xs[k])))
+			}
+			rhs[j] = math.Max(sill-model.Gamma(L1Distance(q, xs[j])), 0)
+		}
+		w, ok := denseSolve(c, rhs)
+		if !ok {
+			return 0, 0, false
+		}
+		val = mean
+		for j, y := range ys {
+			val += w[j] * (y - mean)
+		}
+		return val, 0, true
+	case "universal":
+		// Drift terms f_0 = 1 plus every axis the support varies along,
+		// at most n-2 of them; a singular drift system degrades to
+		// ordinary kriging.
+		var dims []int
+		for d := range xs[0] {
+			for _, x := range xs[1:] {
+				if x[d] != xs[0][d] && len(dims) < n-2 {
+					dims = append(dims, d)
+					break
+				}
+			}
+		}
+		size := n + 1 + len(dims)
+		g := linalg.NewMatrix(size, size)
+		rhs := make([]float64, size)
+		for j := range xs {
+			for k := range xs {
+				if k != j { // γ(0) = 0 on the diagonal (Eq. 9)
+					g.Set(j, k, model.Gamma(L1Distance(xs[j], xs[k])))
+				}
+			}
+			g.Set(j, n, 1)
+			g.Set(n, j, 1)
+			for i, d := range dims {
+				g.Set(j, n+1+i, xs[j][d])
+				g.Set(n+1+i, j, xs[j][d])
+			}
+			rhs[j] = model.Gamma(L1Distance(q, xs[j]))
+		}
+		rhs[n] = 1
+		for i, d := range dims {
+			rhs[n+1+i] = q[d]
+		}
+		if w, ok := denseSolve(g, rhs); ok {
+			return linalg.Dot(w[:n], ys), 0, true
+		}
+		return denseReference("ordinary", model, xs, ys, q)
+	default:
+		g := linalg.NewMatrix(n+1, n+1)
+		rhs := make([]float64, n+1)
+		for j := range xs {
+			for k := range xs {
+				if k != j { // γ(0) = 0 on the diagonal (Eq. 9)
+					g.Set(j, k, model.Gamma(L1Distance(xs[j], xs[k])))
+				}
+			}
+			g.Set(j, n, 1)
+			g.Set(n, j, 1)
+			rhs[j] = model.Gamma(L1Distance(q, xs[j]))
+		}
+		rhs[n] = 1
+		w, ok := denseSolve(g, rhs)
+		if !ok {
+			return 0, 0, false
+		}
+		return linalg.Dot(w[:n], ys), math.Max(linalg.Dot(w[:n], rhs[:n])+w[n], 0), true
+	}
+}
+
+// denseSolve factorises a by pivoted LU and solves a·x = b.
+func denseSolve(a *linalg.Matrix, b []float64) ([]float64, bool) {
+	f, err := linalg.Factorize(a)
+	if err != nil {
+		return nil, false
+	}
+	x := make([]float64, len(b))
+	if err := f.SolveInto(x, b); err != nil {
+		return nil, false
+	}
+	return x, true
+}
+
+// drawQueries draws k query points around a support: every seventh lands
+// exactly on a support point (the γ(h <= 0) nugget branch), the rest are
+// jittered lattice points.
+func drawQueries(r *rng.Stream, xs [][]float64, k int) [][]float64 {
+	dim := len(xs[0])
+	queries := make([][]float64, k)
+	for j := range queries {
+		if j%7 == 3 {
+			queries[j] = append([]float64(nil), xs[r.Intn(len(xs))]...)
+			continue
+		}
+		q := make([]float64, dim)
+		for i := range q {
+			q[i] = float64(r.IntRange(0, 14)) + r.NormScaled(0, 0.25)
+		}
+		queries[j] = q
+	}
+	return queries
+}
+
 // TestBatchMatchesSequentialPropertyWall is the batch-prediction
-// property wall: across 100 seeded supports × {ordinary, simple,
-// universal} × 3 variogram models × K ∈ {1, 2, 7, 64}, a blocked
-// PredictBatch (and PredictVarBatch for ordinary) must reproduce K
-// sequential Predict/PredictVar calls BIT FOR BIT — stronger than the
-// 1e-12 the acceptance criteria ask for. Queries deliberately include
-// exact support coincidences so the γ(h<=0) nugget branch is crossed.
+// property wall at the operating point (n = 2–10 supports, Nv = 2–23
+// dimensions): across 100 seeded supports × {ordinary, simple,
+// universal} × 3 variogram models × K ∈ {1, 2, 7, 64},
+//
+//   - a K-column PredictBatch (and PredictVarBatch for ordinary) must
+//     reproduce K one-column Predict/PredictVar calls BIT FOR BIT, which
+//     pits the 4-wide solve and output kernels against the single-column
+//     ones every K = 1 call runs;
+//   - every answer must match an independent dense reference (assemble,
+//     linalg.Factorize, SolveInto) to 1e-9 relative.
 func TestBatchMatchesSequentialPropertyWall(t *testing.T) {
 	r := rng.New(701)
 	ks := []int{1, 2, 7, 64}
 	const maxK = 64
+	type variant struct {
+		name  string
+		batch func(queries [][]float64, out []float64) error
+		one   func(q []float64) (float64, error)
+	}
 	for trial := 0; trial < 100; trial++ {
-		n := 2 + r.Intn(19)
-		dim := 2 + r.Intn(3)
+		n := 2 + r.Intn(9)
+		dim := 2 + r.Intn(22)
 		xs, ys := drawSupport(r, n, dim)
-		queries := make([][]float64, maxK)
-		for j := range queries {
-			if j%7 == 3 {
-				// Land exactly on a support point: h == 0 branch.
-				queries[j] = append([]float64(nil), xs[r.Intn(n)]...)
-			} else {
-				q := make([]float64, dim)
-				for i := range q {
-					q[i] = float64(r.IntRange(0, 14)) + r.NormScaled(0, 0.25)
-				}
-				queries[j] = q
-			}
-		}
+		queries := drawQueries(r, xs, maxK)
 		for mi, model := range batchModels() {
-			interps := []struct {
-				name  string
-				batch func(queries [][]float64, out []float64) error
-				seq   func(q []float64) (float64, error)
-			}{}
 			o := &Ordinary{Model: model, CacheSize: 8}
 			s := &Simple{Model: model, CacheSize: 8}
 			u := &Universal{Model: model}
-			interps = append(interps,
-				struct {
-					name  string
-					batch func(queries [][]float64, out []float64) error
-					seq   func(q []float64) (float64, error)
-				}{"ordinary", func(q [][]float64, out []float64) error { return o.PredictBatch(xs, ys, q, out) },
+			variants := []variant{
+				{"ordinary", func(q [][]float64, out []float64) error { return o.PredictBatch(xs, ys, q, out) },
 					func(q []float64) (float64, error) { return o.Predict(xs, ys, q) }},
-				struct {
-					name  string
-					batch func(queries [][]float64, out []float64) error
-					seq   func(q []float64) (float64, error)
-				}{"simple", func(q [][]float64, out []float64) error { return s.PredictBatch(xs, ys, q, out) },
+				{"simple", func(q [][]float64, out []float64) error { return s.PredictBatch(xs, ys, q, out) },
 					func(q []float64) (float64, error) { return s.Predict(xs, ys, q) }},
-				struct {
-					name  string
-					batch func(queries [][]float64, out []float64) error
-					seq   func(q []float64) (float64, error)
-				}{"universal", func(q [][]float64, out []float64) error { return u.PredictBatch(xs, ys, q, out) },
+				{"universal", func(q [][]float64, out []float64) error { return u.PredictBatch(xs, ys, q, out) },
 					func(q []float64) (float64, error) { return u.Predict(xs, ys, q) }},
-			)
-			for _, ip := range interps {
+			}
+			for _, v := range variants {
 				for _, k := range ks {
 					out := make([]float64, k)
-					if err := ip.batch(queries[:k], out); err != nil {
+					if err := v.batch(queries[:k], out); err != nil {
 						// A degenerate batch is acceptable only if the
-						// sequential path degenerates too.
-						if _, serr := ip.seq(queries[0]); serr == nil {
-							t.Fatalf("trial %d %s model %d K=%d: batch failed (%v) but sequential succeeds", trial, ip.name, mi, k, err)
+						// one-column call degenerates too.
+						if _, serr := v.one(queries[0]); serr == nil {
+							t.Fatalf("trial %d %s model %d K=%d: batch failed (%v) but K=1 succeeds", trial, v.name, mi, k, err)
 						}
 						continue
 					}
 					for j := 0; j < k; j++ {
-						want, err := ip.seq(queries[j])
+						want, err := v.one(queries[j])
 						if err != nil {
-							t.Fatalf("trial %d %s model %d K=%d q%d: sequential error %v after batch success", trial, ip.name, mi, k, j, err)
+							t.Fatalf("trial %d %s model %d K=%d q%d: K=1 error %v after batch success", trial, v.name, mi, k, j, err)
 						}
 						if !bitEqual(out[j], want) {
-							t.Fatalf("trial %d %s model %d K=%d q%d: batch %v != sequential %v (diff %g)",
-								trial, ip.name, mi, k, j, out[j], want, out[j]-want)
+							t.Fatalf("trial %d %s model %d K=%d q%d: batch %v != K=1 %v (diff %g)",
+								trial, v.name, mi, k, j, out[j], want, out[j]-want)
 						}
+					}
+				}
+				for j, q := range queries {
+					got, err := v.one(q)
+					ref, _, ok := denseReference(v.name, model, xs, ys, q)
+					if err != nil || !ok || !relClose(got, ref, 1e-9) {
+						t.Fatalf("trial %d %s model %d q%d: %v (err %v) != dense reference %v (ok %v)",
+							trial, v.name, mi, j, got, err, ref, ok)
 					}
 				}
 			}
@@ -116,11 +245,14 @@ func TestBatchMatchesSequentialPropertyWall(t *testing.T) {
 				for j := 0; j < k; j++ {
 					wv, wvar, err := o.PredictVar(xs, ys, queries[j])
 					if err != nil {
-						t.Fatalf("trial %d model %d K=%d q%d: sequential PredictVar: %v", trial, mi, k, j, err)
+						t.Fatalf("trial %d model %d K=%d q%d: K=1 PredictVar: %v", trial, mi, k, j, err)
 					}
 					if !bitEqual(outV[j], wv) || !bitEqual(outVar[j], wvar) {
-						t.Fatalf("trial %d model %d K=%d q%d: batch (%v, %v) != sequential (%v, %v)",
+						t.Fatalf("trial %d model %d K=%d q%d: batch (%v, %v) != K=1 (%v, %v)",
 							trial, mi, k, j, outV[j], outVar[j], wv, wvar)
+					}
+					if _, rvar, ok := denseReference("ordinary", model, xs, ys, queries[j]); !ok || !relClose(wvar, rvar, 1e-9) {
+						t.Fatalf("trial %d model %d q%d: variance %v != dense reference %v (ok %v)", trial, mi, j, wvar, rvar, ok)
 					}
 				}
 			}
@@ -131,13 +263,15 @@ func TestBatchMatchesSequentialPropertyWall(t *testing.T) {
 // TestBatchMatchesSequentialExtendedFactor pins the Lagrange-row
 // permutation path: a support served by an incrementally extended
 // ordinary factor stores its appended rows AFTER the Lagrange row, so
-// every solve re-permutes through factored.logicalIndex. The batch
-// solve must thread the same permutation per column.
+// every solve re-permutes through factored.logicalIndex. The K-column
+// solve must thread the same permutation per column as K one-column
+// calls, and both must match the dense reference.
 func TestBatchMatchesSequentialExtendedFactor(t *testing.T) {
 	r := rng.New(702)
 	for trial := 0; trial < 20; trial++ {
-		n := 8 + r.Intn(8)
-		xs, ys := drawSupport(r, n, 3)
+		n := 4 + r.Intn(7)
+		dim := 2 + r.Intn(22)
+		xs, ys := drawSupport(r, n, dim)
 		for _, model := range batchModels() {
 			o := &Ordinary{Model: model, CacheSize: 8}
 			// Warm the cache on the prefix, then touch the full support
@@ -151,14 +285,7 @@ func TestBatchMatchesSequentialExtendedFactor(t *testing.T) {
 			if o.cache.incrementalHits.Load() == 0 {
 				t.Fatalf("trial %d: support growth did not take the incremental path", trial)
 			}
-			queries := make([][]float64, 7)
-			for j := range queries {
-				q := make([]float64, 3)
-				for i := range q {
-					q[i] = float64(r.IntRange(0, 14)) + r.NormScaled(0, 0.25)
-				}
-				queries[j] = q
-			}
+			queries := drawQueries(r, xs, 7)
 			outV := make([]float64, len(queries))
 			outVar := make([]float64, len(queries))
 			if err := o.PredictVarBatch(xs, ys, queries, outV, outVar); err != nil {
@@ -170,41 +297,15 @@ func TestBatchMatchesSequentialExtendedFactor(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bitEqual(outV[j], wv) || !bitEqual(outVar[j], wvar) {
-					t.Fatalf("trial %d q%d: extended-factor batch (%v, %v) != sequential (%v, %v)",
+					t.Fatalf("trial %d q%d: extended-factor batch (%v, %v) != K=1 (%v, %v)",
 						trial, j, outV[j], outVar[j], wv, wvar)
 				}
+				rv, rvar, ok := denseReference("ordinary", model, xs, ys, q)
+				if !ok || !relClose(wv, rv, 1e-9) || !relClose(wvar, rvar, 1e-9) {
+					t.Fatalf("trial %d q%d: extended factor (%v, %v) != dense reference (%v, %v)",
+						trial, j, wv, wvar, rv, rvar)
+				}
 			}
-		}
-	}
-}
-
-// TestBatchSequentialAblationFlag: the SequentialBatch switch must
-// change throughput only, never results.
-func TestBatchSequentialAblationFlag(t *testing.T) {
-	r := rng.New(703)
-	xs, ys := drawSupport(r, 12, 3)
-	queries := make([][]float64, 9)
-	for j := range queries {
-		q := make([]float64, 3)
-		for i := range q {
-			q[i] = float64(r.IntRange(0, 14)) + r.NormScaled(0, 0.25)
-		}
-		queries[j] = q
-	}
-	model := &variogram.SphericalModel{Sill: 40, Range: 9, Nugget: 0.1}
-	blocked := &Ordinary{Model: model}
-	ablated := &Ordinary{Model: model, SequentialBatch: true}
-	a := make([]float64, len(queries))
-	b := make([]float64, len(queries))
-	if err := blocked.PredictBatch(xs, ys, queries, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := ablated.PredictBatch(xs, ys, queries, b); err != nil {
-		t.Fatal(err)
-	}
-	for j := range a {
-		if !bitEqual(a[j], b[j]) {
-			t.Fatalf("q%d: blocked %v != ablated %v", j, a[j], b[j])
 		}
 	}
 }

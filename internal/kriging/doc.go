@@ -28,22 +28,24 @@
 // from-scratch factorisation to well under 1e-9 relative error (see
 // the incremental property tests).
 //
-// # Blocked batch prediction
+// # One blocked predict path
 //
-// K queries sharing one support answer through PredictBatch /
-// PredictVarBatch (ordinary, simple and universal kriging): one cache
-// lookup, all K right-hand sides assembled into one pooled column-major
-// block, one blocked multi-RHS solve (linalg SolveBatchInto, 4-wide
-// shared-coefficient kernels — SSE2 on amd64), and a 4-wide output
-// sweep. Results are bit-identical to K sequential Predict/PredictVar
-// calls — the property wall in batch_test.go enforces it — so callers
-// (the evaluator's shared-support pre-pass) can route queries through
-// either path freely. The SequentialBatch flag forces the sequential
-// loop, kept as the ablation arm for the batch speedup gates.
+// Every kriging prediction goes through one blocked kernel per variant:
+// one cache lookup, the right-hand sides of all K queries assembled into
+// one pooled column-major block, one multi-RHS solve (linalg
+// SolveBatchInto, 4-wide shared-coefficient kernels — SSE2 on amd64),
+// and a 4-wide output sweep. PredictBatch / PredictVarBatch expose it
+// for K queries sharing one support (the evaluator's shared-support
+// pre-pass); Predict, PredictVar and Weights are its K = 1 call, which
+// falls through to the single-RHS solve. Each column of a batch is bit
+// for bit the K = 1 answer on that query — the property wall in
+// batch_test.go pits the two against each other and against an
+// independent dense solve — so callers may split or group queries
+// freely. Universal kriging assembles its drift system in one place,
+// once per call.
 //
-// Cache-hit predictions are allocation-free: per-query vectors come
-// from pooled scratch and the factors solve in place; a warm
-// PredictBatch is allocation-free regardless of K.
+// Cache-hit predictions are allocation-free at any K: per-call blocks
+// come from pooled scratch and the factors solve in place.
 //
 // The interpolators are safe for concurrent use: the cache is the only
 // mutable state and it is mutex-guarded (factor extensions build new

@@ -1,9 +1,6 @@
 package kriging
 
 import (
-	"fmt"
-	"math"
-
 	"repro/internal/linalg"
 	"repro/internal/variogram"
 )
@@ -34,9 +31,6 @@ type Universal struct {
 	PowerBeta float64
 	// Nugget regularises the system diagonal.
 	Nugget float64
-	// SequentialBatch degrades PredictBatch to sequential Predict calls
-	// (ablation switch; results are bit-identical either way).
-	SequentialBatch bool
 }
 
 // Name implements Interpolator.
@@ -49,10 +43,10 @@ func (u *Universal) dist() Distance {
 	return L1Distance
 }
 
-// driftDims returns the dimensions along which the support varies; only
-// those get a drift coefficient.
+// driftDims returns the first maxTerms dimensions along which the
+// support varies; only those get a drift coefficient.
 func driftDims(xs [][]float64, maxTerms int) []int {
-	if len(xs) == 0 {
+	if len(xs) == 0 || maxTerms <= 0 {
 		return nil
 	}
 	nv := len(xs[0])
@@ -72,37 +66,38 @@ func driftDims(xs [][]float64, maxTerms int) []int {
 	return dims
 }
 
-// Predict implements Interpolator.
+// Predict implements Interpolator: the K = 1 call of PredictBatch.
 func (u *Universal) Predict(xs [][]float64, ys []float64, x []float64) (float64, error) {
+	var out [1]float64
+	if err := u.PredictBatch(xs, ys, [][]float64{x}, out[:]); err != nil {
+		return 0, err
+	}
+	return out[0], nil
+}
+
+// system fits (or takes) the variogram of a support of at least two
+// points and assembles and factorises its drift-augmented kriging
+// system: Γ bordered by the drift columns f_0 = 1, f_i = x_dims[i-1].
+// A nil factor with a nil error marks a degenerate drift system; the
+// caller falls back to ordinary kriging with the returned model.
+func (u *Universal) system(xs [][]float64, ys []float64) (model variogram.Model, dims []int, f *linalg.LU, err error) {
 	n := len(xs)
-	if n == 0 {
-		return 0, ErrNoSupport
-	}
-	if len(ys) != n {
-		return 0, fmt.Errorf("kriging: %d coordinates but %d values", n, len(ys))
-	}
-	if n == 1 {
-		return ys[0], nil
-	}
 	dist := u.dist()
-	model := u.Model
+	model = u.Model
 	if model == nil {
-		var err error
 		if u.PowerBeta != 0 {
 			model, err = variogram.FitPower(variogram.CloudFromSamples(xs, ys, dist), u.PowerBeta, u.Nugget)
 		} else {
 			model, err = variogram.FitSamples(u.FitKind, xs, ys, dist, u.Nugget)
 		}
 		if err != nil {
-			return 0, err
+			return nil, nil, nil, err
 		}
 	}
-
 	// Each drift term consumes one degree of freedom; keep at least two
 	// supports' worth of residual information.
-	dims := driftDims(xs, n-2)
-	m := 1 + len(dims) // constant + identifiable linear terms
-	size := n + m
+	dims = driftDims(xs, n-2)
+	size := n + 1 + len(dims) // supports + constant + identifiable linear terms
 	g := linalg.NewMatrix(size, size)
 	var scale float64
 	for j := 0; j < n; j++ {
@@ -118,7 +113,6 @@ func (u *Universal) Predict(xs [][]float64, ys []float64, x []float64) (float64,
 	jitter := 1e-12 * (scale + 1)
 	for j := 0; j < n; j++ {
 		g.Set(j, j, u.Nugget+jitter)
-		// Drift columns: f_0 = 1, f_i = x_dims[i-1].
 		g.Set(j, n, 1)
 		g.Set(n, j, 1)
 		for i, d := range dims {
@@ -126,27 +120,9 @@ func (u *Universal) Predict(xs [][]float64, ys []float64, x []float64) (float64,
 			g.Set(n+1+i, j, xs[j][d])
 		}
 	}
-	rhs := make([]float64, size)
-	for k := 0; k < n; k++ {
-		rhs[k] = model.Gamma(dist(x, xs[k]))
-	}
-	rhs[n] = 1
-	for i, d := range dims {
-		rhs[n+1+i] = x[d]
-	}
-	w, err := linalg.Solve(g, rhs)
+	f, err = linalg.Factorize(g)
 	if err != nil {
-		// A degenerate drift system (e.g. supports on a line queried
-		// diagonally) falls back to ordinary kriging rather than
-		// failing the evaluation.
-		ord := &Ordinary{Dist: u.Dist, Model: model, Nugget: u.Nugget}
-		return ord.Predict(xs, ys, x)
+		return model, dims, nil, nil // degenerate: ordinary-kriging fallback
 	}
-	// linalg.Dot is the same kernel the blocked batch path uses, so
-	// PredictBatch stays bit-identical to K sequential calls.
-	val := linalg.Dot(w[:n], ys)
-	if math.IsNaN(val) || math.IsInf(val, 0) {
-		return 0, ErrDegenerate
-	}
-	return val, nil
+	return model, dims, f, nil
 }

@@ -156,6 +156,9 @@ func TestDriftDims(t *testing.T) {
 	if driftDims(xs, 1)[0] != 0 {
 		t.Error("maxTerms cap not applied")
 	}
+	if got := driftDims(xs, 0); got != nil {
+		t.Errorf("driftDims with no term budget = %v, want none (a 2-point support gets no drift)", got)
+	}
 	if driftDims(nil, 3) != nil {
 		t.Error("empty input should give nil")
 	}

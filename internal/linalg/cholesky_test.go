@@ -163,7 +163,7 @@ func TestPropertyCholeskyMatchesLU(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		x2, err := Solve(a, b)
+		x2, err := luSolve(a, b)
 		if err != nil {
 			return false
 		}

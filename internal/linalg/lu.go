@@ -194,39 +194,3 @@ func (f *LU) MinPivot() float64 {
 	}
 	return mn
 }
-
-// Solve solves the square system a·x = b in one call.
-func Solve(a *Matrix, b []float64) ([]float64, error) {
-	f, err := Factorize(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b)
-}
-
-// Inverse computes the inverse of a via its LU factorisation. Kriging only
-// needs solves, but Eq. 10 of the paper is written with Γ⁻¹ and the tests
-// verify both paths agree.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := Factorize(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.Rows
-	inv := NewMatrix(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := f.Solve(e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
-}

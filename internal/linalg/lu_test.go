@@ -9,13 +9,22 @@ import (
 	"repro/internal/rng"
 )
 
+// luSolve factorises a and solves a·x = b.
+func luSolve(a *Matrix, b []float64) ([]float64, error) {
+	f, err := Factorize(a)
+	if err != nil {
+		return nil, err
+	}
+	return f.Solve(b)
+}
+
 func TestLUSolveKnown(t *testing.T) {
 	a, _ := FromRows([][]float64{
 		{2, 1, -1},
 		{-3, -1, 2},
 		{-2, 1, 2},
 	})
-	x, err := Solve(a, []float64{8, -11, -3})
+	x, err := luSolve(a, []float64{8, -11, -3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +45,7 @@ func TestLUSolveResidual(t *testing.T) {
 		for i := range b {
 			b[i] = r.NormScaled(0, 1)
 		}
-		x, err := Solve(a, b)
+		x, err := luSolve(a, b)
 		if err != nil {
 			// Random Gaussian matrices are almost never singular, but a
 			// singular draw is a legal outcome, not a test failure.
@@ -120,30 +129,6 @@ func TestDetPermutationSign(t *testing.T) {
 	}
 }
 
-func TestInverseTimesOriginal(t *testing.T) {
-	r := rng.New(21)
-	a := randomMatrix(r, 5)
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prod, err := a.Mul(inv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 5; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if !almostEqual(prod.At(i, j), want, 1e-8) {
-				t.Fatalf("A·A⁻¹[%d][%d] = %v", i, j, prod.At(i, j))
-			}
-		}
-	}
-}
-
 func TestMinPivotPositive(t *testing.T) {
 	f, err := Factorize(Identity(4))
 	if err != nil {
@@ -163,7 +148,7 @@ func TestPropertySolveResidualSmall(t *testing.T) {
 		for i := range b {
 			b[i] = r.NormScaled(0, 10)
 		}
-		x, err := Solve(a, b)
+		x, err := luSolve(a, b)
 		if err != nil {
 			return true // singular draw is acceptable
 		}

@@ -58,39 +58,3 @@ func Directional(xs [][]float64, ys []float64, nv int) ([]DirectionalBin, error)
 	}
 	return out, nil
 }
-
-// AnisotropyRatio summarises a directional study as the ratio between the
-// steepest and shallowest per-axis short-range slopes (γ at the smallest
-// binned distance divided by that distance). Axes with no pairs are
-// skipped; a ratio of 1 means the field looks isotropic, large ratios
-// mean per-axis distance scaling (kriging.WeightedL1) will pay off. The
-// boolean reports whether at least two axes had data.
-func AnisotropyRatio(dirs []DirectionalBin) (float64, bool) {
-	minSlope := math.Inf(1)
-	maxSlope := math.Inf(-1)
-	seen := 0
-	for _, d := range dirs {
-		if len(d.Bins) == 0 {
-			continue
-		}
-		b := d.Bins[0]
-		if b.Dist <= 0 {
-			if len(d.Bins) < 2 {
-				continue
-			}
-			b = d.Bins[1]
-		}
-		slope := b.Gamma / b.Dist
-		if slope < minSlope {
-			minSlope = slope
-		}
-		if slope > maxSlope {
-			maxSlope = slope
-		}
-		seen++
-	}
-	if seen < 2 || minSlope <= 0 {
-		return 1, seen >= 2
-	}
-	return maxSlope / minSlope, true
-}

@@ -28,13 +28,6 @@ func TestDirectionalSeparatesAxes(t *testing.T) {
 	if math.Abs(g0-50) > 1e-9 || math.Abs(g1-0.5) > 1e-9 {
 		t.Errorf("γ0(1) = %v (want 50), γ1(1) = %v (want 0.5)", g0, g1)
 	}
-	ratio, ok := AnisotropyRatio(dirs)
-	if !ok {
-		t.Fatal("ratio unavailable")
-	}
-	if math.Abs(ratio-100) > 1e-6 {
-		t.Errorf("anisotropy ratio = %v, want 100", ratio)
-	}
 }
 
 func TestDirectionalIsotropicField(t *testing.T) {
@@ -50,9 +43,15 @@ func TestDirectionalIsotropicField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio, ok := AnisotropyRatio(dirs)
-	if !ok || math.Abs(ratio-1) > 1e-9 {
-		t.Errorf("isotropic ratio = %v (ok=%v)", ratio, ok)
+	// y = x0 + x1: both axes see the same semivariogram, bin for bin.
+	b0, b1 := dirs[0].Bins, dirs[1].Bins
+	if len(b0) == 0 || len(b0) != len(b1) {
+		t.Fatalf("axis bins %d vs %d", len(b0), len(b1))
+	}
+	for i := range b0 {
+		if math.Abs(b0[i].Dist-b1[i].Dist) > 1e-9 || math.Abs(b0[i].Gamma-b1[i].Gamma) > 1e-9 {
+			t.Errorf("bin %d: axis 0 %+v vs axis 1 %+v", i, b0[i], b1[i])
+		}
 	}
 }
 
@@ -79,8 +78,5 @@ func TestDirectionalSkipsDiagonalPairs(t *testing.T) {
 		if len(d.Bins) != 0 {
 			t.Errorf("axis %d collected diagonal pairs", d.Axis)
 		}
-	}
-	if _, ok := AnisotropyRatio(dirs); ok {
-		t.Error("ratio claimed availability with no data")
 	}
 }

@@ -7,6 +7,8 @@
 # Gates enforced:
 #   - linalg:    SolveInto on warm factors            (0 allocs)
 #   - kriging:   cache-hit Ordinary/Simple Predict    (0 allocs)
+#                cache-hit Ordinary PredictVar        (0 allocs)
+#                warm Ordinary/Simple PredictBatch    (0 allocs, any K)
 #                IDW/Nearest/Capped baselines         (0 allocs)
 #   - store:     warm NeighborsInto / NearestKInto    (0 allocs)
 #                durable AddBatch over in-memory      (O(1) per batch)
