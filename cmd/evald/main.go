@@ -9,8 +9,7 @@
 // EVALD_STATE_DIR, EVALD_D, EVALD_NNMIN, EVALD_MAX_SUPPORT,
 // EVALD_API_KEYS, EVALD_DRAIN_GRACE, EVALD_REQUEST_TIMEOUT,
 // EVALD_SIM_WORKERS, EVALD_SIM_HEDGE, EVALD_SIM_WORKER_CAP,
-// EVALD_SIM_RETRY_BUDGET, EVALD_SIM_RETRY_BURST, EVALD_BREAKER,
-// EVALD_BREAKER_COOLDOWN, EVALD_BREAKER_THRESHOLD,
+// EVALD_BREAKER, EVALD_BREAKER_COOLDOWN, EVALD_BREAKER_THRESHOLD,
 // EVALD_DISABLE_SHED. With no
 // environment at all it serves the small FIR benchmark on :8080,
 // unauthenticated, simulating in-process; EVALD_SIM_WORKERS moves
@@ -77,8 +76,6 @@ func main() {
 			Nv:           sp.Nv,
 			PerWorkerCap: cfg.SimWorkerCap,
 			HedgeDelay:   cfg.SimHedge,
-			RetryBudget:  cfg.SimRetryBudget,
-			RetryBurst:   cfg.SimRetryBurst,
 			Logger:       logger,
 		})
 		if err != nil {

@@ -102,14 +102,6 @@ type Config struct {
 	// (EVALD_SIM_WORKER_CAP, default 0 = the pool's built-in 4); match
 	// it to the workers' SIMD_CAPACITY.
 	SimWorkerCap int
-	// SimRetryBudget caps the pool-wide rate of retries and hedges in
-	// tokens per second (EVALD_SIM_RETRY_BUDGET, default 0 = unlimited)
-	// so correlated worker failures cannot amplify into a retry storm.
-	SimRetryBudget float64
-	// SimRetryBurst is the retry budget's bucket depth
-	// (EVALD_SIM_RETRY_BURST, default 0 = 1); only read when
-	// SimRetryBudget is set.
-	SimRetryBurst int
 	// Breaker enables the circuit breaker around the simulator
 	// (EVALD_BREAKER=1, default off): a rolling error window trips it
 	// open so a dead simulation tier fails fast instead of burning
@@ -201,12 +193,6 @@ func FromGetenv(getenv func(string) string) (Config, error) {
 	if cfg.SimWorkerCap, err = intVar(getenv, "EVALD_SIM_WORKER_CAP", cfg.SimWorkerCap); err != nil {
 		return cfg, err
 	}
-	if cfg.SimRetryBudget, err = floatVar(getenv, "EVALD_SIM_RETRY_BUDGET", cfg.SimRetryBudget); err != nil {
-		return cfg, err
-	}
-	if cfg.SimRetryBurst, err = intVar(getenv, "EVALD_SIM_RETRY_BURST", cfg.SimRetryBurst); err != nil {
-		return cfg, err
-	}
 	if cfg.Breaker, err = boolVar(getenv, "EVALD_BREAKER"); err != nil {
 		return cfg, err
 	}
@@ -229,12 +215,6 @@ func FromGetenv(getenv func(string) string) (Config, error) {
 	}
 	if cfg.SimWorkerCap < 0 {
 		return cfg, fmt.Errorf("config: EVALD_SIM_WORKER_CAP %d is negative", cfg.SimWorkerCap)
-	}
-	if cfg.SimRetryBudget < 0 {
-		return cfg, fmt.Errorf("config: EVALD_SIM_RETRY_BUDGET %g is negative", cfg.SimRetryBudget)
-	}
-	if cfg.SimRetryBurst < 0 {
-		return cfg, fmt.Errorf("config: EVALD_SIM_RETRY_BURST %d is negative", cfg.SimRetryBurst)
 	}
 	if cfg.BreakerThreshold <= 0 || cfg.BreakerThreshold > 1 {
 		return cfg, fmt.Errorf("config: EVALD_BREAKER_THRESHOLD %g (want in (0, 1])", cfg.BreakerThreshold)

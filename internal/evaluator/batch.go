@@ -24,14 +24,15 @@ import (
 // no query in the batch observes another batch member — neither as an
 // exact store hit nor as kriging support: every decision runs against an
 // immutable snapshot of the store taken on entry. (A configuration
-// duplicated inside the batch still costs one simulation when its
-// occurrences are claimed concurrently — the workers coalesce identical
-// in-flight simulations through the evaluator's single-flight table —
-// and is simulated once per occurrence only in the sequential
-// workers == 1 order.) Sequential issuing lets a later query krige from
-// an earlier query's freshly stored simulation (min+1 sibling candidates
-// sit at L1 distance 2 from each other, inside the usual radius), so a
-// batch can legitimately return different — equally valid —
+// repeated inside the batch is answered once: every later occurrence
+// gets the first occurrence's Result, so a distinct configuration costs
+// at most one simulation at every worker count and with or without
+// DisableCoalescing. A copied simulation is marked Coalesced and counted
+// in NCoalesced; a copied interpolation counts as an interpolation.)
+// Sequential issuing lets a later query krige from an earlier query's
+// freshly stored simulation (min+1 sibling candidates sit at L1
+// distance 2 from each other, inside the usual radius), so a batch can
+// legitimately return different — equally valid —
 // interpolations than the one-at-a-time order. Both obey the paper's
 // rule of never kriging from unsimulated values; the batch is simply the
 // order-free reading of Algorithm 2's competition, whose Nv candidates
@@ -101,6 +102,9 @@ func (e *Evaluator) EvaluateAllContext(ctx context.Context, cfgs []space.Config,
 	if len(cfgs) > 1 {
 		resolved, needsSim = e.batchPredictPrepass(ctx, snap, cfgs, results, &batchStats)
 	}
+	// Later occurrences of a repeated configuration are resolved from the
+	// first one after the workers finish, so no worker claims them.
+	first := firstOccurrences(cfgs)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -124,6 +128,9 @@ func (e *Evaluator) EvaluateAllContext(ctx context.Context, cfgs []space.Config,
 				}
 				if resolved != nil && resolved[idx] {
 					continue // answered by the pre-pass
+				}
+				if first[idx] != idx {
+					continue // copied from the first occurrence below
 				}
 				cfg := cfgs[idx]
 				if needsSim == nil || !needsSim[idx] {
@@ -160,13 +167,28 @@ func (e *Evaluator) EvaluateAllContext(ctx context.Context, cfgs []space.Config,
 			}
 		}
 	}
+	for idx, f := range first {
+		if f == idx || (resolved != nil && resolved[idx]) {
+			continue
+		}
+		res := results[f]
+		switch {
+		case simulated[f]:
+			res.Coalesced = true
+			batchStats.nCoalesced.Add(1)
+		case res.Source == Interpolated:
+			batchStats.nInterp.Add(1)
+			batchStats.sumNeigh.Add(int64(res.Neighbors))
+		}
+		results[idx] = res
+	}
 	// Store updates happen once everything succeeded, in input order,
 	// keeping the store contents (and NearestK tie-breaking in later
 	// queries) deterministic. The whole commit goes through the bulk
-	// write path: one view publication per shard instead of one per
-	// simulation result. (NSim was already charged, once per coalesced
-	// flight, at simulation time; a duplicated configuration commits one
-	// entry per occurrence, which the store's overwrite path collapses.)
+	// write path: one view publication instead of one per simulation
+	// result. (NSim was already charged, once per coalesced flight, at
+	// simulation time; only first occurrences are marked simulated, so
+	// the commit holds one entry per configuration.)
 	commit := make([]store.Entry, 0, len(cfgs))
 	for idx := range cfgs {
 		if simulated[idx] {
@@ -182,4 +204,32 @@ func (e *Evaluator) EvaluateAllContext(ctx context.Context, cfgs []space.Config,
 	}
 	e.stats.merge(&batchStats)
 	return results, nil
+}
+
+// firstOccurrences maps each batch position to the position of the first
+// occurrence of its configuration (itself for a first occurrence).
+func firstOccurrences(cfgs []space.Config) []int {
+	first := make([]int, len(cfgs))
+	byHash := make(map[uint64]int, len(cfgs))
+	for idx, cfg := range cfgs {
+		first[idx] = idx
+		h := store.HashConfig(cfg)
+		j, ok := byHash[h]
+		switch {
+		case !ok:
+			byHash[h] = idx
+		case cfgs[j].Equal(cfg):
+			first[idx] = j
+		default:
+			// Hash collision between distinct configurations: fall back
+			// to a scan of the earlier first occurrences.
+			for k := 0; k < idx; k++ {
+				if first[k] == k && cfgs[k].Equal(cfg) {
+					first[idx] = k
+					break
+				}
+			}
+		}
+	}
+	return first
 }

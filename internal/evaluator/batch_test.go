@@ -135,3 +135,40 @@ func TestEvaluateAllEmptyBatch(t *testing.T) {
 		t.Errorf("empty batch: %v, %v", results, err)
 	}
 }
+
+// TestEvaluateAllRepeatsSimulateOnce checks that a configuration
+// repeated inside one batch costs exactly one simulation and one store
+// entry at every worker count, with or without DisableCoalescing: later
+// occurrences carry the first one's value, marked Coalesced.
+func TestEvaluateAllRepeatsSimulateOnce(t *testing.T) {
+	cfgs := []space.Config{{1, 1}, {2, 2}, {1, 1}, {3, 3}, {2, 2}, {1, 1}}
+	firsts := map[int]bool{0: true, 1: true, 3: true}
+	for _, disable := range []bool{false, true} {
+		for _, workers := range []int{1, 2, 8} {
+			sim := &atomicSim{}
+			ev, err := New(sim, Options{DisableCoalescing: disable})
+			if err != nil {
+				t.Fatal(err)
+			}
+			results, err := ev.EvaluateAll(cfgs, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, res := range results {
+				want := Result{Lambda: 3*float64(cfgs[i][0]) + 2*float64(cfgs[i][1]), Source: Simulated, Coalesced: !firsts[i]}
+				if res != want {
+					t.Errorf("disable=%v workers=%d cfg %d: %+v, want %+v", disable, workers, i, res, want)
+				}
+			}
+			st := ev.Stats()
+			if sim.calls != 3 || st.NSim != 3 || st.NCoalesced != 3 {
+				t.Errorf("disable=%v workers=%d: calls=%d NSim=%d NCoalesced=%d, want 3/3/3",
+					disable, workers, sim.calls, st.NSim, st.NCoalesced)
+			}
+			if n, v := ev.Store().Len(), ev.Store().Versions(); n != 3 || v != 3 {
+				t.Errorf("disable=%v workers=%d: store Len=%d Versions=%d, want one entry per configuration",
+					disable, workers, n, v)
+			}
+		}
+	}
+}

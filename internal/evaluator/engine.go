@@ -38,7 +38,7 @@ type flight struct {
 
 // inflight is the single-flight table: at most one live simulation per
 // configuration. It is keyed by the store's config hash (the same
-// hashing that routes shard inserts and exact lookups), with chained
+// hashing that keys the store's exact lookups), with chained
 // equality checks so hash collisions merely share a bucket, never a
 // result.
 type inflight struct {

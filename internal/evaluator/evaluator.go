@@ -124,9 +124,6 @@ type Options struct {
 	Interp kriging.Interpolator
 	// Metric is the neighbour-search distance; the zero value is L1.
 	Metric space.Metric
-	// StoreShards overrides the shard count of the support store; zero
-	// selects store.DefaultShardCount.
-	StoreShards int
 	// Transform, when non-nil, maps λ into the space in which kriging
 	// is performed, and Untransform maps predictions back. The paper
 	// kriges λ = -P directly (identity); the log-domain ablation uses a
@@ -174,9 +171,6 @@ func (o *Options) validate() error {
 	}
 	if o.DMax != 0 && o.DMax < o.D {
 		return fmt.Errorf("%w: DMax %v below D %v", ErrBadOptions, o.DMax, o.D)
-	}
-	if o.StoreShards < 0 {
-		return fmt.Errorf("%w: negative StoreShards %d", ErrBadOptions, o.StoreShards)
 	}
 	if (o.Transform == nil) != (o.Untransform == nil) {
 		return fmt.Errorf("%w: Transform and Untransform must be set together", ErrBadOptions)
@@ -261,7 +255,7 @@ func New(sim Simulator, opts Options) (*Evaluator, error) {
 	if opts.Interp == nil {
 		opts.Interp = &kriging.Ordinary{} // L1 + power variogram defaults
 	}
-	sopts := store.Options{Shards: opts.StoreShards}
+	var sopts store.Options
 	if opts.StateDir != "" {
 		sopts.Durability = &store.DurabilityOptions{Dir: opts.StateDir}
 	}

@@ -42,8 +42,8 @@ func SaveTrace(w io.Writer, trace Trace) error {
 }
 
 // Restore reads a trajectory written by SaveTrace and bulk-loads it into
-// the evaluator's support store (one view publication per store shard,
-// not one per point), so a persisted campaign warm-starts the next run
+// the evaluator's support store (one view publication, not one per
+// point), so a persisted campaign warm-starts the next run
 // without re-simulating. It returns the number of configurations added.
 // Points whose dimensionality does not match the evaluator's simulator
 // are rejected before anything is loaded.

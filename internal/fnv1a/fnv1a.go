@@ -1,5 +1,5 @@
 // Package fnv1a provides the 64-bit FNV-1a hash as allocation-free
-// primitives shared by the hot paths that key on it (shard selection in
+// primitives shared by the hot paths that key on it (the key table in
 // internal/store, support fingerprints in internal/kriging). The
 // standard library's hash/fnv covers the same function behind the
 // hash.Hash64 interface, which forces byte-slice conversions and escapes

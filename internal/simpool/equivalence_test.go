@@ -20,7 +20,9 @@ import (
 // the evaluator and must never leak into its accounting.
 
 // campaignConfigs builds a deterministic mixed campaign: mostly
-// distinct configs with a sprinkle of repeats (exact-hit territory).
+// distinct configs with a sprinkle of repeats (exact-hit territory
+// across calls; inside one parallel batch a repeat is answered from its
+// first occurrence, so NSim stays independent of simulator latency).
 func campaignConfigs(seed int64, n int) []space.Config {
 	rng := rand.New(rand.NewSource(seed))
 	cfgs := make([]space.Config, 0, n)
@@ -32,29 +34,6 @@ func campaignConfigs(seed int64, n int) []space.Config {
 		cfgs = append(cfgs, space.Config{2 + rng.Intn(15), 2 + rng.Intn(15), 2 + rng.Intn(15)})
 	}
 	return cfgs
-}
-
-// batchConfigs is campaignConfigs restricted to batch-internal
-// uniqueness. A config duplicated INSIDE one parallel batch is only
-// coalesced when its occurrences are claimed concurrently — otherwise
-// it legitimately re-simulates (see EvaluateAll's contract) — so its
-// NSim charge depends on simulator latency. Keeping each parallel batch
-// duplicate-free keeps the twin runs' NSim comparable; duplicates
-// ACROSS batches and in the sequential phase stay, and resolve
-// deterministically from the committed store.
-func batchConfigs(seed int64, n int) []space.Config {
-	seen := make(map[string]bool, n)
-	out := make([]space.Config, 0, n)
-	for _, cfg := range campaignConfigs(seed, 2*n) {
-		if seen[cfg.Key()] {
-			continue
-		}
-		seen[cfg.Key()] = true
-		if out = append(out, cfg); len(out) == n {
-			break
-		}
-	}
-	return out
 }
 
 // runCampaign drives the same mixed campaign (sequential singles, then
@@ -73,7 +52,7 @@ func runCampaign(t *testing.T, ev *evaluator.Evaluator) ([]evaluator.Result, map
 		results = append(results, res)
 	}
 	for batch := int64(0); batch < 3; batch++ {
-		rs, err := ev.EvaluateAllContext(ctx, batchConfigs(100+batch, 24), 6)
+		rs, err := ev.EvaluateAllContext(ctx, campaignConfigs(100+batch, 24), 6)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -197,9 +197,9 @@ func TestFaultInjectionSweep(t *testing.T) {
 }
 
 // TestFaultSweepSingleFlight repeats the sweep with colliding queries:
-// the evaluator's single-flight table must still dedup identical
-// concurrent configs, so retries/hedges below it never multiply store
-// inserts.
+// a batch answers each repeated config from its first occurrence, so
+// retries/hedges below the evaluator never multiply simulations or
+// store inserts.
 func TestFaultSweepSingleFlight(t *testing.T) {
 	const seed = 42
 	pool := startFlakyPool(t, 3, seed, 0.3, 99)
@@ -226,8 +226,8 @@ func TestFaultSweepSingleFlight(t *testing.T) {
 	if got := ev.Store().Len(); got != len(distinct) {
 		t.Fatalf("store has %d entries, want exactly %d", got, len(distinct))
 	}
-	if st := ev.Stats(); st.NSim > len(cfgs) || st.NSim < len(distinct) {
-		t.Fatalf("NSim = %d, want within [%d, %d]", st.NSim, len(distinct), len(cfgs))
+	if st := ev.Stats(); st.NSim != len(distinct) || st.NCoalesced != len(cfgs)-len(distinct) {
+		t.Fatalf("NSim = %d, NCoalesced = %d; want %d and %d", st.NSim, st.NCoalesced, len(distinct), len(cfgs)-len(distinct))
 	}
 }
 

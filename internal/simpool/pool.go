@@ -133,20 +133,6 @@ type Options struct {
 	// selects 25ms / 1s.
 	ProbeBase time.Duration
 	ProbeMax  time.Duration
-	// RetryBudget, when positive, caps the pool-wide rate of EXTRA
-	// dispatches — retries after worker failures and hedge/steal
-	// duplicates both draw from one token bucket refilled at this many
-	// tokens per second — so correlated failures degrade into bounded,
-	// paced recovery instead of a retry storm (per-config MaxAttempts
-	// bounds depth; the budget bounds aggregate rate). A budget-denied
-	// retry parks until a token accrues; a budget-denied hedge is simply
-	// skipped (the original attempt keeps running). Zero disables the
-	// cap.
-	RetryBudget float64
-	// RetryBurst is the budget's bucket depth — the burst of extra
-	// dispatches allowed before the rate limit bites; zero or negative
-	// selects 1. Ignored when RetryBudget is zero.
-	RetryBurst int
 	// Client issues the HTTP requests; nil builds one with pooled
 	// keep-alive connections. Any per-request timeout comes from the
 	// caller's context, never the client.
@@ -224,16 +210,10 @@ type Pool struct {
 	inflight map[*task]struct{}
 	closed   bool
 
-	// budget, when non-nil, is the pool-wide retry/hedge token bucket
-	// (Options.RetryBudget); guarded by mu like the rest of the
-	// scheduler state.
-	budget *tokenBucket
-
-	nRemote       uint64 // successful remote simulations, duplicates included
-	nHedged       uint64 // duplicate dispatches (straggler hedges + idle steals)
-	nRetried      uint64 // re-dispatches after a retryable failure
-	nRequeued     uint64 // in-flight configs pushed back by a worker death
-	nBudgetDenied uint64 // retries parked / hedges skipped by the retry budget
+	nRemote   uint64 // successful remote simulations, duplicates included
+	nHedged   uint64 // duplicate dispatches (straggler hedges + idle steals)
+	nRetried  uint64 // re-dispatches after a retryable failure
+	nRequeued uint64 // in-flight configs pushed back by a worker death
 
 	kick     chan struct{}
 	closedCh chan struct{}
@@ -265,9 +245,6 @@ func NewPool(opts Options) (*Pool, error) {
 		inflight:    make(map[*task]struct{}),
 		kick:        make(chan struct{}, 1),
 		closedCh:    make(chan struct{}),
-	}
-	if opts.RetryBudget > 0 {
-		p.budget = newTokenBucket(opts.RetryBudget, opts.RetryBurst)
 	}
 	if p.client == nil {
 		p.client = &http.Client{Transport: &http.Transport{
@@ -329,7 +306,8 @@ func (p *Pool) Evaluate(cfg space.Config) (float64, error) {
 // response. The error is ctx.Err() if the caller's deadline fires
 // first, ErrSimulation if a worker ran the simulation and the simulator
 // failed (deterministic — retries cannot help), and ErrNoWorkers once
-// the retry budget exhausts against a dead pool.
+// the per-config attempt budget (MaxAttempts) exhausts against a dead
+// pool.
 func (p *Pool) EvaluateContext(ctx context.Context, cfg space.Config) (float64, error) {
 	if len(cfg) != p.nv {
 		return 0, fmt.Errorf("simpool: config has %d variables, want %d", len(cfg), p.nv)
@@ -428,7 +406,7 @@ func (p *Pool) janitor() {
 
 // dispatchLocked moves ready pending tasks onto the least-loaded
 // healthy workers. When every worker is quarantined, each ready task
-// burns one attempt of its retry budget and parks on backoff — this is
+// burns one of its MaxAttempts and parks on backoff — this is
 // the path that turns a fully-dead pool into a fast typed failure.
 func (p *Pool) dispatchLocked(now time.Time) {
 	keep := p.pending[:0]
@@ -464,15 +442,6 @@ func (p *Pool) dispatchLocked(now time.Time) {
 			continue
 		}
 		if t.attempts > 0 {
-			// A retry dispatch spends one budget token; a denied retry
-			// parks until the bucket refills (its ctx deadline still
-			// bounds the total wait).
-			if p.budget != nil && !p.budget.take(now) {
-				p.nBudgetDenied++
-				t.notBefore = now.Add(p.budget.nextIn(now))
-				keep = append(keep, t)
-				continue
-			}
 			p.nRetried++
 		}
 		p.startAttemptLocked(t, w, now)
@@ -506,13 +475,6 @@ func (p *Pool) hedgeLocked(now time.Time) {
 			w = p.pickWorkerLocked(cur)
 		}
 		if w == nil || w == cur {
-			continue
-		}
-		// Hedges are speculative duplicates, so they draw from the same
-		// retry budget: under correlated failure the budget throttles
-		// both recovery paths, not just one.
-		if p.budget != nil && !p.budget.take(now) {
-			p.nBudgetDenied++
 			continue
 		}
 		p.nHedged++
@@ -885,11 +847,7 @@ type Stats struct {
 	NHedged     uint64
 	NRetried    uint64
 	NRequeued   uint64
-	// NBudgetDenied counts scheduler decisions throttled by the retry
-	// budget (Options.RetryBudget): retries parked for a token plus
-	// hedges/steals skipped outright. Always zero without a budget.
-	NBudgetDenied uint64
-	Workers       []WorkerStats
+	Workers     []WorkerStats
 }
 
 // Stats snapshots the pool counters and per-worker gauges.
@@ -897,12 +855,11 @@ func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st := Stats{
-		NRemoteSims:   p.nRemote,
-		NHedged:       p.nHedged,
-		NRetried:      p.nRetried,
-		NRequeued:     p.nRequeued,
-		NBudgetDenied: p.nBudgetDenied,
-		Workers:       make([]WorkerStats, 0, len(p.workers)),
+		NRemoteSims: p.nRemote,
+		NHedged:     p.nHedged,
+		NRetried:    p.nRetried,
+		NRequeued:   p.nRequeued,
+		Workers:     make([]WorkerStats, 0, len(p.workers)),
 	}
 	for _, w := range p.workers {
 		n := min(w.rttN, rttWindow)

@@ -136,11 +136,11 @@ func TestOverwriteInvisibleToSnapshot(t *testing.T) {
 	}
 }
 
-// TestOverwriteConstantCost asserts the satellite fix: overwriting one
-// configuration in a 10k-entry shard allocates a constant handful of
-// objects (the new version and the published view), not a copy of the
-// shard. The old copy-on-write path allocated the whole entries slice
-// and key map per overwrite.
+// TestOverwriteConstantCost asserts that overwriting one configuration
+// in a 10k-entry store allocates a constant handful of objects (the new
+// version and the published view), not a copy of the store. A
+// copy-on-write scheme would allocate the whole entries slice and key
+// map per overwrite.
 func TestOverwriteConstantCost(t *testing.T) {
 	s := New(space.MetricL1)
 	r := rng.New(3)
@@ -165,13 +165,12 @@ func TestOverwriteConstantCost(t *testing.T) {
 }
 
 // TestConcurrentReadersDuringBulkLoad is the bulk-path race stress: 32
-// reader goroutines hammer Entries/Lookup/Neighbors while one writer
-// bulk-loads 20k distinct entries in chunks. Every observation must be a
-// consistent prefix: per shard, the entries a reader sees are exactly the
-// first k of that shard's final insertion sequence (AddBatch publishes a
-// shard's batch atomically, so k only moves at chunk boundaries), values
-// are never torn, and neighbourhoods only contain true values. Run with
-// -race to validate the publication protocol.
+// reader goroutines hammer Entries/Snapshot/Len/Lookup/Neighbors while
+// one writer bulk-loads 20k distinct entries in chunks. AddBatch is
+// atomic to readers, so every observation must be the final insertion
+// sequence cut at a chunk boundary — never a partly applied batch —
+// values are never torn, and neighbourhoods only contain true values.
+// Run with -race to validate the publication protocol.
 func TestConcurrentReadersDuringBulkLoad(t *testing.T) {
 	const readers = 32
 	total, chunk := 20000, 1000
@@ -190,16 +189,25 @@ func TestConcurrentReadersDuringBulkLoad(t *testing.T) {
 		entries = append(entries, Entry{Config: c, Lambda: float64(len(entries))})
 	}
 	s := New(space.MetricL1)
-	// Final ground truth: global rank per config and the per-shard
-	// insertion sequences the prefix property is checked against.
+	// Final ground truth: insertion rank per config.
 	rank := make(map[string]int, total)
-	shardOf := make([]int, total)
-	perShard := make([][]int, len(s.shards))
 	for i, e := range entries {
 		rank[e.Config.Key()] = i
-		si := int(hashConfig(e.Config) & s.mask)
-		shardOf[i] = si
-		perShard[si] = append(perShard[si], i)
+	}
+	// atBoundary checks that an observed sequence is entries[:k] with k a
+	// multiple of chunk (or the whole load).
+	atBoundary := func(what string, es []Entry) bool {
+		if k := len(es); k%chunk != 0 && k != total {
+			t.Errorf("%s holds %d entries, not a batch boundary (chunk %d)", what, k, chunk)
+			return false
+		}
+		for i, e := range es {
+			if !e.Config.Equal(entries[i].Config) || e.Lambda != entries[i].Lambda {
+				t.Errorf("%s[%d] = %+v, want %+v", what, i, e, entries[i])
+				return false
+			}
+		}
+		return true
 	}
 
 	stop := make(chan struct{})
@@ -209,40 +217,19 @@ func TestConcurrentReadersDuringBulkLoad(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			rr := rng.New(uint64(g) + 100)
-			next := make([]int, len(perShard))
 			for iter := 0; ; iter++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				es := s.Entries()
-				last := -1
-				for i := range next {
-					next[i] = 0
+				if n := s.Len(); n%chunk != 0 && n != total {
+					t.Errorf("Len = %d mid-load, not a batch boundary (chunk %d)", n, chunk)
+					return
 				}
-				for _, e := range es {
-					ri, ok := rank[e.Config.Key()]
-					if !ok {
-						t.Errorf("observed unknown entry %v", e.Config)
-						return
-					}
-					if e.Lambda != float64(ri) {
-						t.Errorf("torn value for %v: %v, want %d", e.Config, e.Lambda, ri)
-						return
-					}
-					if ri <= last {
-						t.Errorf("insertion order violated at rank %d after %d", ri, last)
-						return
-					}
-					last = ri
-					si := shardOf[ri]
-					if perShard[si][next[si]] != ri {
-						t.Errorf("shard %d not prefix-consistent: saw rank %d, expected rank %d next",
-							si, ri, perShard[si][next[si]])
-						return
-					}
-					next[si]++
+				es := s.Entries()
+				if !atBoundary("Entries", es) || !atBoundary("Snapshot.Entries", s.Snapshot().Entries()) {
+					return
 				}
 				// Anything already visible must stay visible with the
 				// same value through the exact-match path.

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -143,38 +144,40 @@ func TestZeroSnapshot(t *testing.T) {
 	}
 }
 
-// TestShardedInsertionOrder checks that Neighbors and Entries report
-// entries oldest-first even though they land in different shards.
-func TestShardedInsertionOrder(t *testing.T) {
-	s := NewSharded(space.MetricL1, 8)
+// TestInsertionOrderWithOverwrites checks that Neighbors, NearestK and
+// Entries (store and snapshot) report entries oldest-first, and that an
+// overwrite — per-Add or inside a batch — keeps its configuration's
+// original rank although the new version is appended at a later
+// position.
+func TestInsertionOrderWithOverwrites(t *testing.T) {
+	s := New(space.MetricL1)
 	const n = 50
+	want := make([]float64, n)
 	for i := 0; i < n; i++ {
 		s.Add(space.Config{i}, float64(i))
+		want[i] = float64(i)
 	}
-	es := s.Entries()
-	for i, e := range es {
-		if e.Lambda != float64(i) {
-			t.Fatalf("Entries[%d] = %+v, want lambda %d", i, e, i)
-		}
-	}
-	nb := s.Neighbors(space.Config{0}, float64(n))
-	for i, v := range nb.Values {
-		if v != float64(i) {
-			t.Fatalf("Neighbors order broken at %d: %v", i, nb.Values)
-		}
-	}
-}
+	s.Add(space.Config{3}, 103)
+	s.AddBatch([]Entry{{Config: space.Config{7}, Lambda: 107}, {Config: space.Config{n}, Lambda: n}, {Config: space.Config{0}, Lambda: 100}})
+	want[3], want[7], want[0] = 103, 107, 100
+	want = append(want, n)
 
-// TestNewShardedRoundsUp checks shard-count normalisation.
-func TestNewShardedRoundsUp(t *testing.T) {
-	for _, n := range []int{-1, 0, 1, 3, 16} {
-		s := NewSharded(space.MetricL1, n)
-		if got := len(s.shards); got&(got-1) != 0 || got < 1 {
-			t.Errorf("NewSharded(%d) has %d shards", n, got)
-		}
-		s.Add(space.Config{1}, 1)
-		if v, ok := s.Lookup(space.Config{1}); !ok || v != 1 {
-			t.Errorf("NewSharded(%d) store broken", n)
+	check := func(label string, got []float64) {
+		t.Helper()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s order:\n got %v\nwant %v", label, got, want)
 		}
 	}
+	lambdas := func(es []Entry) []float64 {
+		out := make([]float64, len(es))
+		for i, e := range es {
+			out[i] = e.Lambda
+		}
+		return out
+	}
+	check("Entries", lambdas(s.Entries()))
+	check("Snapshot.Entries", lambdas(s.Snapshot().Entries()))
+	check("Neighbors", s.Neighbors(space.Config{0}, 2*n).Values)
+	check("Snapshot.Neighbors", s.Snapshot().Neighbors(space.Config{0}, 2*n).Values)
+	check("NearestK (all fit)", s.NearestK(space.Config{0}, 2*n, n+1).Values)
 }

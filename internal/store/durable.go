@@ -29,33 +29,35 @@ type DurabilityOptions struct {
 
 // Open creates a store, durable when opt.Durability is set: contents
 // are recovered from the state directory (replayed through the same
-// AddBatch path live writes take, so lookups, neighbourhoods and
+// bulk path live AddBatch writes take, so lookups, neighbourhoods and
 // overwrite winners are bit-identical to the store that crashed), and
 // every subsequent write is logged before it is applied. With nil
-// Durability it is exactly NewWithOptions — existing in-memory call
-// sites have nothing to change.
+// Durability it is exactly New — existing in-memory call sites have
+// nothing to change.
 //
 // Recovery refuses a log whose interior is damaged (wal.ErrCorrupt); a
 // torn final record — the residue of a mid-append crash — is truncated
 // silently, because nothing acknowledged lived there.
 func Open(metric space.Metric, opt Options) (*Store, error) {
+	s := New(metric)
 	d := opt.Durability
 	if d == nil {
-		return NewWithOptions(metric, opt), nil
+		return s, nil
 	}
-	opt.Durability = nil
-	s := newMem(metric, opt)
 	l, err := wal.Open(wal.Options{Dir: d.Dir, Sync: d.Sync, SegmentSize: d.SegmentSize, FS: d.FS})
 	if err != nil {
 		return nil, err
 	}
 	var batch []Entry
 	err = l.Replay(func(recs []wal.Record) error {
+		if len(recs) == 0 {
+			return nil
+		}
 		batch = batch[:0]
 		for _, r := range recs {
 			batch = append(batch, Entry{Config: space.Config(r.Config), Lambda: r.Lambda})
 		}
-		s.addBatchMem(batch)
+		s.addBatchLocked(batch)
 		return nil
 	})
 	if err != nil {
@@ -86,8 +88,8 @@ func (s *Store) Err() error {
 	if s.log == nil {
 		return nil
 	}
-	s.walMu.Lock()
-	defer s.walMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.walErr
 }
 
@@ -98,8 +100,8 @@ func (s *Store) Close() error {
 	if s.log == nil {
 		return nil
 	}
-	s.walMu.Lock()
-	defer s.walMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
@@ -111,47 +113,26 @@ func (s *Store) Close() error {
 	return err
 }
 
-// addDurable logs one entry as a single-record batch, then applies it.
-// walMu spans both steps so the log's record order always matches the
-// in-memory sequence stamps (recovery replays in log order).
-func (s *Store) addDurable(c space.Config, lambda float64) (added bool) {
-	s.walMu.Lock()
-	defer s.walMu.Unlock()
+// appendLocked logs recs ahead of applying them. It reports false — and
+// the caller must then not apply the write — when the store is closed,
+// has already failed, or fails now (sticky via Err). The caller holds
+// mu across the append and the apply, so the log's record order is the
+// order of the in-memory sequence stamps.
+func (s *Store) appendLocked(recs []wal.Record, op string) bool {
 	if s.walErr != nil || s.closed {
 		return false
 	}
-	recs := s.recBuf[:0]
-	recs = append(recs, wal.Record{Config: []int(c), Lambda: lambda})
-	s.recBuf = recs
 	if err := s.log.Append(recs); err != nil {
-		s.walErr = fmt.Errorf("store: durable add: %w", err)
+		s.walErr = fmt.Errorf("store: durable %s: %w", op, err)
 		return false
 	}
-	return s.addMem(c, lambda)
-}
-
-// addBatchDurable group-commits the batch — one log record, one fsync —
-// then applies it through the in-memory bulk path.
-func (s *Store) addBatchDurable(entries []Entry) (added int) {
-	if len(entries) == 0 {
-		return 0
-	}
-	s.walMu.Lock()
-	defer s.walMu.Unlock()
-	if s.walErr != nil || s.closed {
-		return 0
-	}
-	if err := s.log.Append(s.records(entries)); err != nil {
-		s.walErr = fmt.Errorf("store: durable batch: %w", err)
-		return 0
-	}
-	return s.addBatchMem(entries)
+	return true
 }
 
 // records converts entries into the log's record type, reusing the
 // store's scratch slice: the conversion is header-only (the coordinate
 // slices are shared, not copied), so a warm durable store logs a batch
-// with zero allocations here. Callers hold walMu.
+// with zero allocations here. Callers hold mu.
 func (s *Store) records(entries []Entry) []wal.Record {
 	recs := s.recBuf[:0]
 	if cap(recs) < len(entries) {

@@ -264,15 +264,9 @@ func TestDurableOpenRefusesCorruption(t *testing.T) {
 	}
 }
 
-// TestDurableConstructorContract: NewWithOptions must refuse a
-// Durability option (recovery can fail; only Open can report that), and
-// Open without one must stay the plain in-memory constructor.
+// TestDurableConstructorContract: Open without a Durability option is
+// the plain in-memory constructor, with an inert durable surface.
 func TestDurableConstructorContract(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewWithOptions accepted Options.Durability")
-		}
-	}()
 	s, err := Open(space.MetricL1, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +274,9 @@ func TestDurableConstructorContract(t *testing.T) {
 	if s.Durable() || s.Dir() != "" || s.Err() != nil || s.Close() != nil {
 		t.Error("in-memory Open: durable surface should be inert")
 	}
-	NewWithOptions(space.MetricL1, Options{Durability: &DurabilityOptions{Dir: "x"}})
+	if !s.Add(space.Config{1, 2}, 3) || s.Len() != 1 {
+		t.Error("in-memory Open: store does not accept writes")
+	}
 }
 
 // TestAllocsDurableAddBatch gates the WAL write path: group commit must

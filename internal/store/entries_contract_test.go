@@ -11,7 +11,7 @@ import (
 // on: Entries() (and Snapshot.Entries()) exposes exactly one Entry per
 // configuration — the latest value — at the position of the FIRST write
 // of that configuration (overwrites keep the original sequence stamp;
-// see shardBuilder.insertEntry). Compact must not change the sequence
+// see builder.insertVersion). Compact must not change the sequence
 // at all: the snapshot a durable store cuts during Compact is literally
 // Entries(), so any reordering or resurrection of a superseded version
 // here would corrupt every recovery after it.
@@ -26,7 +26,7 @@ func entriesString(es []Entry) string { return fmt.Sprint(es) }
 // WAL replay reconstruct the order: re-adding Entries() front to back
 // reproduces both the values and the sequence stamps.)
 func TestEntriesOverwriteWinnerOrder(t *testing.T) {
-	s := NewWithOptions(space.MetricL1, Options{Shards: 4})
+	s := New(space.MetricL1)
 	a, b, c := space.Config{1, 1}, space.Config{2, 2}, space.Config{3, 3}
 	s.Add(a, 10)
 	s.Add(b, 20)
@@ -57,7 +57,7 @@ func TestEntriesOverwriteWinnerOrder(t *testing.T) {
 // exactly once with its latest value — superseded versions are an
 // internal storage detail that must never leak through the API.
 func TestEntriesNeverExposeSuperseded(t *testing.T) {
-	s := NewWithOptions(space.MetricL1, Options{Shards: 2})
+	s := New(space.MetricL1)
 	latest := map[string]float64{}
 	key := func(c space.Config) string { return fmt.Sprint([]int(c)) }
 
@@ -115,7 +115,7 @@ func TestEntriesNeverExposeSuperseded(t *testing.T) {
 // Compact writes Snapshot-epoch contents to disk, so these two must
 // never drift.
 func TestSnapshotEntriesEpochAcrossCompact(t *testing.T) {
-	s := NewWithOptions(space.MetricL1, Options{Shards: 4})
+	s := New(space.MetricL1)
 	for i := 0; i < 8; i++ {
 		s.Add(space.Config{i}, float64(i))
 	}

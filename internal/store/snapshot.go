@@ -3,26 +3,27 @@ package store
 import "repro/internal/space"
 
 // Snapshot is an immutable point-in-time view of a Store, captured in
-// O(shards) without copying entries. The batch evaluator resolves every
+// O(1) without copying entries. The batch evaluator resolves every
 // exact hit and kriging decision of one batch against a snapshot so the
 // batch semantics ("no query uses another batch member as support") hold
 // even while worker goroutines append simulation results concurrently.
 //
 // The zero Snapshot is empty and usable.
 type Snapshot struct {
-	states []*shardState
-	mask   uint64
+	v      *view // nil in the zero Snapshot
 	metric space.Metric
 }
 
-// Len returns the number of configurations visible in the snapshot.
-func (sn Snapshot) Len() int {
-	n := 0
-	for _, st := range sn.states {
-		n += st.live
+// frozen returns the captured view, empty for the zero Snapshot.
+func (sn Snapshot) frozen() *view {
+	if sn.v == nil {
+		return emptyView
 	}
-	return n
+	return sn.v
 }
+
+// Len returns the number of configurations visible in the snapshot.
+func (sn Snapshot) Len() int { return sn.frozen().live }
 
 // Metric returns the distance metric of the originating store.
 func (sn Snapshot) Metric() space.Metric { return sn.metric }
@@ -30,11 +31,7 @@ func (sn Snapshot) Metric() space.Metric { return sn.metric }
 // Lookup returns the value recorded for an exact configuration match at
 // snapshot time.
 func (sn Snapshot) Lookup(c space.Config) (float64, bool) {
-	if len(sn.states) == 0 {
-		return 0, false
-	}
-	hash := hashConfig(c)
-	return sn.states[hash&sn.mask].lookup(hash, c)
+	return sn.frozen().lookup(c)
 }
 
 // Neighbors collects every configuration within distance <= d of w as of
@@ -50,7 +47,7 @@ func (sn Snapshot) Neighbors(w space.Config, d float64) *Neighborhood {
 // slices and query scratch — allocation-free once the buffer is warm.
 // buf must not be used by concurrent queries.
 func (sn Snapshot) NeighborsInto(buf *Neighborhood, w space.Config, d float64) *Neighborhood {
-	return neighborsStatesInto(buf, sn.states, sn.metric, w, d)
+	return neighborsInto(buf, sn.frozen(), sn.metric, w, d)
 }
 
 // NearestK returns the k closest configurations within distance d as of
@@ -65,10 +62,8 @@ func (sn Snapshot) NearestK(w space.Config, d float64, k int) *Neighborhood {
 // NearestKInto is NearestK into a caller-owned buffer, allocation-free
 // once the buffer is warm.
 func (sn Snapshot) NearestKInto(buf *Neighborhood, w space.Config, d float64, k int) *Neighborhood {
-	return nearestKStatesInto(buf, sn.states, sn.metric, w, d, k)
+	return nearestKInto(buf, sn.frozen(), sn.metric, w, d, k)
 }
 
 // Entries returns the snapshot contents in insertion order.
-func (sn Snapshot) Entries() []Entry {
-	return entriesStates(sn.states)
-}
+func (sn Snapshot) Entries() []Entry { return sn.frozen().list() }

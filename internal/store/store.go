@@ -19,90 +19,51 @@ type Entry struct {
 // is not used for kriging other configurations" (paper, §III-B.1).
 //
 // A Store is safe for concurrent use by multiple goroutines; see the
-// package documentation for the sharding and builder/epoch write scheme.
+// package documentation for the builder/epoch write scheme.
 type Store struct {
-	shards []shard
-	mask   uint64 // len(shards)-1; len is a power of two
+	// mu serialises writers. One writer at a time mutates the builder
+	// and publishes a fresh view; readers load cur lock-free. On a
+	// durable store mu also spans the log append, so the log's record
+	// order matches the sequence stamps the entries get in memory —
+	// recovery replays the log in order, so the two orders must agree
+	// or overwrite winners could flip on restart.
+	mu     sync.Mutex
+	b      builder
+	cur    atomic.Pointer[view]
 	metric space.Metric
-	seq    atomic.Uint64 // global insertion stamp
-	count  atomic.Int64  // live entry count (Len)
 
-	// Durable backend (nil for the in-memory store). walMu serialises
-	// writers so the log's record order matches the sequence stamps the
-	// entries got in memory — recovery replays the log in order, so the
-	// two orders must agree or overwrite winners could flip on restart.
+	// Durable backend (nil for the in-memory store), guarded by mu.
 	log    *wal.Log
-	walMu  sync.Mutex
 	walErr error        // sticky durability failure; see Err
 	closed bool         // Close called
 	recBuf []wal.Record // encode scratch reused across batches
 }
 
 // Options configures a Store beyond its distance metric. The zero value
-// selects DefaultShardCount shards and no durability.
+// selects no durability.
 type Options struct {
-	// Shards is the number of shards (rounded up to a power of two;
-	// values below 1 select DefaultShardCount). More shards reduce writer
-	// contention under heavy parallel simulation at a small fixed cost
-	// per radius query.
-	Shards int
 	// Durability, when non-nil, backs the store with a write-ahead
-	// segment log so its contents survive restarts. Durable stores must
-	// be created with Open (recovery can fail); NewWithOptions panics if
-	// this field is set. Nil keeps the store purely in-memory.
+	// segment log so its contents survive restarts (see Open). Nil keeps
+	// the store purely in-memory.
 	Durability *DurabilityOptions
 }
 
-// New creates an empty store using the given distance metric for
-// neighbour queries (the paper uses L1), with DefaultShardCount shards.
+// New creates an empty in-memory store using the given distance metric
+// for neighbour queries (the paper uses L1). Durable stores are created
+// with Open, because recovery has failure modes New cannot report.
 func New(metric space.Metric) *Store {
-	return NewWithOptions(metric, Options{})
-}
-
-// NewSharded creates an empty store spread over at least nShards shards
-// (rounded up to a power of two; values below 1 select 1).
-func NewSharded(metric space.Metric, nShards int) *Store {
-	if nShards < 1 {
-		nShards = 1
-	}
-	return NewWithOptions(metric, Options{Shards: nShards})
-}
-
-// NewWithOptions creates an empty in-memory store with explicit
-// sharding. Durable stores are created with
-// Open; NewWithOptions panics if opt.Durability is set, because
-// recovery has failure modes a panic-free constructor cannot report.
-func NewWithOptions(metric space.Metric, opt Options) *Store {
-	if opt.Durability != nil {
-		panic("store: NewWithOptions cannot open a durable store; use store.Open")
-	}
-	return newMem(metric, opt)
-}
-
-// newMem builds the in-memory core shared by both constructors.
-func newMem(metric space.Metric, opt Options) *Store {
-	if opt.Shards < 1 {
-		opt.Shards = DefaultShardCount
-	}
-	n := nextPow2(opt.Shards)
-	s := &Store{
-		shards: make([]shard, n),
-		mask:   uint64(n - 1),
-		metric: metric,
-	}
-	for i := range s.shards {
-		s.shards[i].state.Store(emptyShardState)
-	}
+	s := &Store{metric: metric}
+	s.cur.Store(emptyView)
 	return s
 }
 
 // Len returns the number of simulated configurations (Nsim).
-func (s *Store) Len() int { return int(s.count.Load()) }
+func (s *Store) Len() int { return s.cur.Load().live }
 
 // HashConfig returns the store's key hash of a configuration — the same
-// allocation-free hashing that routes shard inserts and exact lookups.
-// The evaluator's single-flight table keys its in-flight simulations
-// with it so both layers agree on configuration identity.
+// allocation-free hashing that keys its exact lookups. The evaluator's
+// single-flight table keys its in-flight simulations with it so both
+// layers agree on configuration identity.
 func HashConfig(c space.Config) uint64 { return hashConfig(c) }
 
 // Metric returns the store's distance metric.
@@ -111,51 +72,47 @@ func (s *Store) Metric() space.Metric { return s.metric }
 // Add records a simulated configuration and its metric value. Re-adding
 // an existing configuration overwrites its value and reports false.
 //
-// Inserts are amortized O(1): the shard's writer mutates its private
-// builder (append-only entries, incremental key table) under the
-// shard lock and publishes a fresh immutable view, instead of copying
-// the shard. Lock-free readers keep whatever view they loaded.
+// Inserts are amortized O(1): the writer mutates the private builder
+// (append-only entries, incremental key table) under the writer lock and
+// publishes a fresh immutable view, instead of copying the store.
+// Lock-free readers keep whatever view they loaded.
 //
 // On a durable store the entry is logged (and, under SyncBatch, fsynced)
 // before it is applied; if durability fails the entry is NOT added,
 // Add reports false, and the failure is sticky via Err.
 func (s *Store) Add(c space.Config, lambda float64) (added bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.log != nil {
-		return s.addDurable(c, lambda)
+		recs := append(s.recBuf[:0], wal.Record{Config: []int(c), Lambda: lambda})
+		s.recBuf = recs
+		if !s.appendLocked(recs, "add") {
+			return false
+		}
 	}
-	return s.addMem(c, lambda)
-}
-
-func (s *Store) addMem(c space.Config, lambda float64) (added bool) {
-	hash := hashConfig(c)
-	sh := &s.shards[hash&s.mask]
-	sh.mu.Lock()
-	added = sh.b.insert(hash, c, lambda, s.seq.Add(1))
-	sh.state.Store(sh.b.publish())
-	sh.mu.Unlock()
-	if added {
-		s.count.Add(1)
-	}
+	added = s.b.insert(c, lambda)
+	s.cur.Store(s.b.publish())
 	return added
 }
 
 // AddBatch records a batch of simulated configurations with ONE view
-// publication per touched shard, the bulk-load path for replayed traces,
-// restored stores and batch-evaluation commits. Entries are stamped in
-// input order, so the resulting store is indistinguishable from calling
-// Add in a loop (same global sequence, same overwrite semantics — a
-// configuration repeated inside the batch keeps the last value at the
-// first occurrence's insertion rank). It returns the number of entries
-// that were new configurations.
+// publication, the bulk-load path for replayed traces, restored stores
+// and batch-evaluation commits. Entries are stamped in input order, so
+// the resulting store is indistinguishable from calling Add in a loop
+// (same sequence, same overwrite semantics — a configuration repeated
+// inside the batch keeps the last value at the first occurrence's
+// insertion rank). It returns the number of entries that were new
+// configurations.
 //
 // Entry records, configuration copies and precomputed coordinates are
 // carved out of batch-level slabs (three allocations per batch instead
 // of three per entry); the stored entries live for the life of the
 // store anyway, so slab sharing costs nothing.
 //
-// Concurrent readers are never blocked and observe, per shard, either
-// the pre-batch view or the post-batch view — a consistent prefix of
-// that shard's final insertion sequence, never a torn intermediate.
+// The batch is atomic to readers: they are never blocked and observe
+// either the pre-batch view or the post-batch view — a prefix of the
+// final insertion sequence cut at a batch boundary, never a torn
+// intermediate.
 //
 // On a durable store the batch is group-committed: ONE log record and
 // (under SyncBatch) ONE fsync cover the whole batch before it is
@@ -163,107 +120,67 @@ func (s *Store) addMem(c space.Config, lambda float64) (added bool) {
 // fails the batch is NOT applied, AddBatch reports 0, and the failure
 // is sticky via Err.
 func (s *Store) AddBatch(entries []Entry) (added int) {
-	if s.log != nil {
-		return s.addBatchDurable(entries)
-	}
-	return s.addBatchMem(entries)
-}
-
-func (s *Store) addBatchMem(entries []Entry) (added int) {
 	if len(entries) == 0 {
 		return 0
 	}
-	type pending struct {
-		hash, seq uint64
-		idx       int
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.log != nil && !s.appendLocked(s.records(entries), "batch") {
+		return 0
 	}
-	// Stamp global sequence numbers in input order and group per shard
-	// with a counting sort (stable, so per-shard input order survives).
-	ps := make([]pending, len(entries))
-	counts := make([]int, len(s.shards)+1)
-	for i, e := range entries {
-		h := hashConfig(e.Config)
-		ps[i] = pending{hash: h, seq: s.seq.Add(1), idx: i}
-		counts[(h&s.mask)+1]++
-	}
-	for i := 1; i < len(counts); i++ {
-		counts[i] += counts[i-1]
-	}
-	ordered := make([]pending, len(entries))
-	fill := append([]int(nil), counts[:len(s.shards)]...)
+	return s.addBatchLocked(entries)
+}
+
+// addBatchLocked applies a batch to the builder and publishes it; the
+// caller holds mu (or owns the store exclusively, as recovery does).
+func (s *Store) addBatchLocked(entries []Entry) (added int) {
 	total := 0
-	for _, p := range ps {
-		si := p.hash & s.mask
-		ordered[fill[si]] = p
-		fill[si]++
-		total += len(entries[p.idx].Config)
+	for _, e := range entries {
+		total += len(e.Config)
 	}
-	// Batch-level slabs: entry records plus one backing array each for
+	// Batch-level slabs: version records plus one backing array each for
 	// the cloned configurations and their float coordinates, carved
-	// sequentially as the per-shard segments are inserted.
-	slab := make([]shardEntry, len(entries))
+	// sequentially as the entries are inserted.
+	slab := make([]version, len(entries))
 	ints := make([]int, total)
 	floats := make([]float64, total)
-	for si := range s.shards {
-		seg := ordered[counts[si]:counts[si+1]]
-		if len(seg) == 0 {
-			continue
+	s.b.reserve(len(entries))
+	for i, src := range entries {
+		nv := len(src.Config)
+		cfg := space.Config(ints[:nv:nv])
+		coords := floats[:nv:nv]
+		ints, floats = ints[nv:], floats[nv:]
+		for j, v := range src.Config {
+			cfg[j] = v
+			coords[j] = float64(v)
 		}
-		sh := &s.shards[si]
-		sh.mu.Lock()
-		sh.b.reserve(len(seg))
-		for _, p := range seg {
-			src := entries[p.idx]
-			nv := len(src.Config)
-			cfg := space.Config(ints[:nv:nv])
-			coords := floats[:nv:nv]
-			ints, floats = ints[nv:], floats[nv:]
-			for j, v := range src.Config {
-				cfg[j] = v
-				coords[j] = float64(v)
-			}
-			e := &slab[0]
-			slab = slab[1:]
-			e.cfg = cfg
-			e.coords = coords
-			e.lambda = src.Lambda
-			e.hash = p.hash
-			if sh.b.insertEntry(e, p.seq) {
-				added++
-			}
+		e := &slab[i]
+		e.cfg = cfg
+		e.coords = coords
+		e.lambda = src.Lambda
+		e.hash = hashConfig(cfg)
+		s.b.seq++
+		if s.b.insertVersion(e, s.b.seq) {
+			added++
 		}
-		sh.state.Store(sh.b.publish())
-		sh.mu.Unlock()
 	}
-	s.count.Add(int64(added))
+	s.cur.Store(s.b.publish())
 	return added
 }
 
 // Lookup returns the stored value for an exact configuration match.
 func (s *Store) Lookup(c space.Config) (float64, bool) {
-	hash := hashConfig(c)
-	return s.shards[hash&s.mask].state.Load().lookup(hash, c)
-}
-
-// loadStates captures the current state of every shard without locking.
-func (s *Store) loadStates() []*shardState {
-	states := make([]*shardState, len(s.shards))
-	for i := range s.shards {
-		states[i] = s.shards[i].state.Load()
-	}
-	return states
+	return s.cur.Load().lookup(c)
 }
 
 // Entries returns a copy of the stored entries in insertion order.
-func (s *Store) Entries() []Entry {
-	return entriesStates(s.loadStates())
-}
+func (s *Store) Entries() []Entry { return s.cur.Load().list() }
 
 // Neighbors collects every simulated configuration within distance <= d of
 // w (lines 7-16 of Algorithms 1-2), oldest-first, with one linear scan of
 // every live entry — the pseudo-code's loop over (Wsim, λsim). It reads
-// the shard states lock-free, so it never blocks concurrent writers (or
-// vice versa). It is the allocating wrapper over NeighborsInto.
+// the published view lock-free, so it never blocks concurrent writers
+// (or vice versa). It is the allocating wrapper over NeighborsInto.
 func (s *Store) Neighbors(w space.Config, d float64) *Neighborhood {
 	nb := s.NeighborsInto(new(Neighborhood), w, d)
 	nb.releaseScratch()
@@ -271,12 +188,12 @@ func (s *Store) Neighbors(w space.Config, d float64) *Neighborhood {
 }
 
 // NeighborsInto is Neighbors into a caller-owned buffer: the result
-// slices and the query's internal scratch (collected hits, shard-state
-// capture) reuse buf's backing arrays, so a warm buffer
-// answers radius queries without heap allocations. buf must not be used
-// by concurrent queries; the returned pointer is buf.
+// slices and the query's internal scratch (collected hits) reuse buf's
+// backing arrays, so a warm buffer answers radius queries without heap
+// allocations. buf must not be used by concurrent queries; the returned
+// pointer is buf.
 func (s *Store) NeighborsInto(buf *Neighborhood, w space.Config, d float64) *Neighborhood {
-	return neighborsStatesInto(buf, s.loadStatesInto(buf), s.metric, w, d)
+	return neighborsInto(buf, s.cur.Load(), s.metric, w, d)
 }
 
 // NearestK returns the k closest simulated configurations within
@@ -294,27 +211,13 @@ func (s *Store) NearestK(w space.Config, d float64, k int) *Neighborhood {
 // NearestKInto is NearestK into a caller-owned buffer, allocation-free
 // once the buffer is warm.
 func (s *Store) NearestKInto(buf *Neighborhood, w space.Config, d float64, k int) *Neighborhood {
-	return nearestKStatesInto(buf, s.loadStatesInto(buf), s.metric, w, d, k)
-}
-
-// loadStatesInto captures the current shard states into the buffer's
-// scratch, avoiding the per-query slice allocation of loadStates.
-func (s *Store) loadStatesInto(buf *Neighborhood) []*shardState {
-	states := buf.q.states[:0]
-	if cap(states) < len(s.shards) {
-		states = make([]*shardState, 0, len(s.shards))
-	}
-	for i := range s.shards {
-		states = append(states, s.shards[i].state.Load())
-	}
-	buf.q.states = states
-	return states
+	return nearestKInto(buf, s.cur.Load(), s.metric, w, d, k)
 }
 
 // AllSamples returns the whole store as a Neighborhood (distances zeroed),
 // the form consumed by global variogram identification.
 func (s *Store) AllSamples() *Neighborhood {
-	entries := entriesStates(s.loadStates())
+	entries := s.Entries()
 	nb := &Neighborhood{
 		Coords: make([][]float64, len(entries)),
 		Values: make([]float64, len(entries)),
@@ -327,41 +230,27 @@ func (s *Store) AllSamples() *Neighborhood {
 	return nb
 }
 
-// Snapshot freezes the current contents. The snapshot is immutable: later
-// Adds to the store — including overwrites of configurations it contains —
-// are invisible to it, at zero copying cost.
+// Snapshot freezes the current contents in O(1). The snapshot is
+// immutable: later Adds to the store — including overwrites of
+// configurations it contains — are invisible to it, at zero copying
+// cost.
 func (s *Store) Snapshot() Snapshot {
-	return Snapshot{states: s.loadStates(), mask: s.mask, metric: s.metric}
+	return Snapshot{v: s.cur.Load(), metric: s.metric}
 }
 
 // Reset empties the store. Concurrent readers observe either the old or
-// the new (empty) state per shard. On a durable store the log is
-// truncated behind an empty snapshot, so the emptiness survives a
-// restart (a rotation failure is sticky via Err, like any write).
+// the new (empty) view. On a durable store the log is truncated behind
+// an empty snapshot, so the emptiness survives a restart (a rotation
+// failure is sticky via Err, like any write).
 func (s *Store) Reset() {
-	if s.log == nil {
-		s.resetMem()
-		return
-	}
-	s.walMu.Lock()
-	defer s.walMu.Unlock()
-	s.resetMem()
-	if s.walErr != nil || s.closed {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.b = builder{}
+	s.cur.Store(emptyView)
+	if s.log == nil || s.walErr != nil || s.closed {
 		return
 	}
 	if err := s.log.Rotate(nil); err != nil {
 		s.walErr = err
-	}
-}
-
-func (s *Store) resetMem() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n := sh.b.live
-		sh.b = shardBuilder{}
-		sh.state.Store(emptyShardState)
-		sh.mu.Unlock()
-		s.count.Add(int64(-n))
 	}
 }

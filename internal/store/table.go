@@ -9,11 +9,11 @@ import (
 // minTableSize is the initial slot count of a key table.
 const minTableSize = 8
 
-// table is a shard's key index: an insert-only open-addressing hash table
+// table is the store's key index: an insert-only open-addressing hash table
 // holding the newest version of each distinct configuration, shared by
 // every view published since its creation (a regrow starts a new table; older
 // views keep the smaller one, which already covers every entry they can
-// see). Slots are written only under the shard writer lock and probed by
+// see). Slots are written only under the store writer lock and probed by
 // readers with atomic loads: a reader that observes an entry inserted
 // after its view was published filters it out by position, so the shared
 // mutation is invisible. Slots are never cleared — Reset replaces the
@@ -21,17 +21,16 @@ const minTableSize = 8
 // regrows before the table can fill).
 type table struct {
 	mask  uint64
-	slots []atomic.Pointer[shardEntry]
+	slots []atomic.Pointer[version]
 }
 
 func newTable(size int) *table {
-	return &table{mask: uint64(size - 1), slots: make([]atomic.Pointer[shardEntry], size)}
+	return &table{mask: uint64(size - 1), slots: make([]atomic.Pointer[version], size)}
 }
 
-// start maps a hash to its initial probe slot. The raw FNV hash cannot
-// be used as-is: every entry of one shard shares its low bits (that is
-// how it was routed to the shard), so a 64-bit finalizer decorrelates
-// them first.
+// start maps a hash to its initial probe slot. A 64-bit finalizer mixes
+// the raw FNV hash first, so the low bits the mask keeps depend on every
+// bit of it.
 func (t *table) start(hash uint64) uint64 {
 	hash ^= hash >> 33
 	hash *= 0xff51afd7ed558ccd
@@ -85,7 +84,7 @@ func tableSizeFor(n int) int {
 }
 
 // findConfig returns the newest version of cfg, or nil.
-func (t *table) findConfig(hash uint64, cfg space.Config) *shardEntry {
+func (t *table) findConfig(hash uint64, cfg space.Config) *version {
 	for i := t.start(hash); ; i = (i + 1) & t.mask {
 		e := t.slots[i].Load()
 		if e == nil {
@@ -98,7 +97,7 @@ func (t *table) findConfig(hash uint64, cfg space.Config) *shardEntry {
 }
 
 // storeConfig publishes e as the newest version of its configuration.
-func (t *table) storeConfig(hash uint64, e *shardEntry) {
+func (t *table) storeConfig(hash uint64, e *version) {
 	for i := t.start(hash); ; i = (i + 1) & t.mask {
 		old := t.slots[i].Load()
 		if old == nil || (old.hash == hash && old.cfg.Equal(e.cfg)) {
