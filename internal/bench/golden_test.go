@@ -11,8 +11,9 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files instead of comparing against them")
 
 // goldenTable1Path pins the rendered Table I of the four signal-processing
-// benchmarks at Small. SqueezeNet is left out: recording it takes over a
-// minute and TestSqueezeNetReplaySmoke already keeps it wired.
+// benchmarks at Small. SqueezeNet is left out: recording it takes about
+// half a minute, TestSqueezeNetReplaySmoke keeps it wired, and
+// TestSqueezeNetPin in internal/nn pins its simulator.
 const goldenTable1Path = "testdata/table1_small.golden"
 
 // TestTable1Golden records fir, iir, fft and hevc at Small with seed 1,

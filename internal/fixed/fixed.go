@@ -85,17 +85,25 @@ func NewFormat(intBits, fracBits int) Format {
 // WordLength returns the total number of bits including the sign bit.
 func (f Format) WordLength() int { return 1 + f.IntBits + f.FracBits }
 
+// pow2 returns 2^k exactly, as math.Exp2(float64(k)) does, without its
+// polynomial evaluation: a normal result is assembled from the exponent
+// bits, anything else (subnormal, zero, overflow) comes from math.Ldexp.
+func pow2(k int) float64 {
+	if k >= -1022 && k <= 1023 {
+		return math.Float64frombits(uint64(k+1023) << 52)
+	}
+	return math.Ldexp(1, k)
+}
+
 // Step returns the quantisation step 2^-FracBits.
-func (f Format) Step() float64 { return math.Exp2(-float64(f.FracBits)) }
+func (f Format) Step() float64 { return pow2(-f.FracBits) }
 
 // Max returns the largest representable value, 2^IntBits - 2^-FracBits.
-func (f Format) Max() float64 {
-	return math.Exp2(float64(f.IntBits)) - f.Step()
-}
+func (f Format) Max() float64 { return pow2(f.IntBits) - f.Step() }
 
 // Min returns the smallest (most negative) representable value,
 // -2^IntBits.
-func (f Format) Min() float64 { return -math.Exp2(float64(f.IntBits)) }
+func (f Format) Min() float64 { return -pow2(f.IntBits) }
 
 // Validate reports whether the format is usable by the emulation.
 func (f Format) Validate() error {
@@ -119,7 +127,7 @@ func (f Format) Quantize(x float64) float64 {
 	if math.IsNaN(x) {
 		return 0
 	}
-	step := f.Step()
+	step := pow2(-f.FracBits)
 	var q float64
 	switch f.Quant {
 	case Truncate:
@@ -129,7 +137,8 @@ func (f Format) Quantize(x float64) float64 {
 	default:
 		panic("fixed: unknown quantisation mode")
 	}
-	lo, hi := f.Min(), f.Max()
+	top := pow2(f.IntBits)
+	lo, hi := -top, top-step
 	if q >= lo && q <= hi {
 		return q
 	}
@@ -141,7 +150,7 @@ func (f Format) Quantize(x float64) float64 {
 		return hi
 	case Wrap:
 		// Two's-complement wrap over the range [lo, hi+step).
-		span := math.Exp2(float64(f.IntBits + 1)) // hi+step - lo
+		span := 2 * top // hi+step - lo
 		w := math.Mod(q-lo, span)
 		if w < 0 {
 			w += span

@@ -6,8 +6,8 @@ import (
 )
 
 // FuzzQuantize checks the quantiser's invariants over arbitrary inputs
-// and formats: results stay on the grid, inside the range, and the
-// operation is idempotent.
+// and formats: results stay on the grid, inside the range, the operation
+// is idempotent, and it agrees bit for bit with the math.Exp2 reference.
 func FuzzQuantize(f *testing.F) {
 	f.Add(0.5, uint8(3), uint8(12), false, false)
 	f.Add(-1e9, uint8(0), uint8(0), true, true)
@@ -21,6 +21,9 @@ func FuzzQuantize(f *testing.F) {
 			fmt.Overflow = Wrap
 		}
 		q := fmt.Quantize(x)
+		if ref := quantizeExp2(fmt, x); !sameBits(q, ref) {
+			t.Fatalf("%v.Quantize(%v) = %v, reference %v", fmt, x, q, ref)
+		}
 		if math.IsNaN(q) || math.IsInf(q, 0) {
 			t.Fatalf("non-finite quantisation of %v: %v", x, q)
 		}

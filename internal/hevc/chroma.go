@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/fixed"
-	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/space"
 )
@@ -194,18 +193,19 @@ func (b *ChromaBenchmark) Bounds() space.Bounds { return b.ip.Bounds() }
 
 // NoisePower measures P for one configuration across all chroma blocks.
 func (b *ChromaBenchmark) NoisePower(cfg space.Config) (float64, error) {
-	var flatFixed, flatRef []float64
+	fmts, err := b.ip.path.Formats(cfg)
+	if err != nil {
+		return 0, err
+	}
+	var out [BlockSize][BlockSize]float64
+	var s float64
 	for i := range b.srcs {
-		out, err := b.ip.Fixed(cfg, b.srcs[i], b.mvs[i])
-		if err != nil {
+		if err := b.ip.run(&out, fmts, b.srcs[i], b.mvs[i]); err != nil {
 			return 0, err
 		}
-		for y := 0; y < BlockSize; y++ {
-			flatFixed = append(flatFixed, out[y]...)
-			flatRef = append(flatRef, b.refs[i][y]...)
-		}
+		s = addSquaredError(s, &out, b.refs[i])
 	}
-	return metrics.NoisePower(flatFixed, flatRef)
+	return s / float64(len(b.srcs)*BlockSize*BlockSize), nil
 }
 
 // Fixed interpolates through the word-length-configured chroma datapath.
@@ -216,6 +216,16 @@ func (ip *ChromaInterp) Fixed(cfg space.Config, src [][]float64, mv ChromaMV) ([
 	if err != nil {
 		return nil, err
 	}
+	var out [BlockSize][BlockSize]float64
+	if err := ip.run(&out, fmts, src, mv); err != nil {
+		return nil, err
+	}
+	return blockRows(&out), nil
+}
+
+// run interpolates one chroma block through the datapath with per-node
+// formats fmts into out.
+func (ip *ChromaInterp) run(out *[BlockSize][BlockSize]float64, fmts []fixed.Format, src [][]float64, mv ChromaMV) error {
 	var (
 		inFmt   = fmts[0]
 		hProd   = fmts[1 : 1+chromaTaps]
@@ -225,45 +235,44 @@ func (ip *ChromaInterp) Fixed(cfg space.Config, src [][]float64, mv ChromaMV) ([
 		outFmt  = fmts[3+2*chromaTaps]
 	)
 	if err := checkChromaWindow(src); err != nil {
-		return nil, err
+		return err
 	}
-	q := make([][]float64, chromaWindow)
-	for y := range q {
-		q[y] = make([]float64, chromaWindow)
-		for x := range q[y] {
-			q[y][x] = inFmt.Quantize(src[y][x])
+	var fx, fy *[chromaTaps]float64
+	var err error
+	if mv.FracX != 0 {
+		if fx, err = chromaFilterFor(mv.FracX); err != nil {
+			return err
 		}
 	}
-	inter := make([][]float64, chromaWindow)
+	if mv.FracY != 0 {
+		if fy, err = chromaFilterFor(mv.FracY); err != nil {
+			return err
+		}
+	}
+	var inter [chromaWindow][BlockSize]float64
 	for y := 0; y < chromaWindow; y++ {
-		inter[y] = make([]float64, BlockSize)
+		var q [chromaWindow]float64 // this row's input registers
+		for x := range q {
+			q[x] = inFmt.Quantize(src[y][x])
+		}
 		for x := 0; x < BlockSize; x++ {
-			if mv.FracX == 0 {
-				inter[y][x] = hOutFmt.Quantize(q[y][x+1])
+			if fx == nil {
+				inter[y][x] = hOutFmt.Quantize(q[x+1])
 				continue
-			}
-			fx, err := chromaFilterFor(mv.FracX)
-			if err != nil {
-				return nil, err
 			}
 			var acc float64
 			for t := 0; t < chromaTaps; t++ {
-				acc += hProd[t].Quantize(fx[t] * q[y][x+t])
+				acc += hProd[t].Quantize(fx[t] * q[x+t])
 			}
 			inter[y][x] = hOutFmt.Quantize(acc)
 		}
 	}
-	out := newBlock()
 	for y := 0; y < BlockSize; y++ {
 		for x := 0; x < BlockSize; x++ {
 			var v float64
-			if mv.FracY == 0 {
+			if fy == nil {
 				v = inter[y+1][x]
 			} else {
-				fy, err := chromaFilterFor(mv.FracY)
-				if err != nil {
-					return nil, err
-				}
 				var acc float64
 				for t := 0; t < chromaTaps; t++ {
 					acc += vProd[t].Quantize(fy[t] * inter[y+t][x])
@@ -273,5 +282,5 @@ func (ip *ChromaInterp) Fixed(cfg space.Config, src [][]float64, mv ChromaMV) ([
 			out[y][x] = outFmt.Quantize(v)
 		}
 	}
-	return out, nil
+	return nil
 }

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/fixed"
-	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/space"
 )
@@ -181,6 +180,16 @@ func (ip *Interp) Fixed(cfg space.Config, src [][]float64, mv MotionVector) ([][
 	if err != nil {
 		return nil, err
 	}
+	var out [BlockSize][BlockSize]float64
+	if err := ip.run(&out, fmts, src, mv); err != nil {
+		return nil, err
+	}
+	return blockRows(&out), nil
+}
+
+// run interpolates one block through the datapath with per-node formats
+// fmts (as Datapath.Formats returns them) into out.
+func (ip *Interp) run(out *[BlockSize][BlockSize]float64, fmts []fixed.Format, src [][]float64, mv MotionVector) error {
 	var (
 		inFmt   = fmts[0]
 		hProd   = fmts[1 : 1+taps]
@@ -193,49 +202,49 @@ func (ip *Interp) Fixed(cfg space.Config, src [][]float64, mv MotionVector) ([][
 		outFmt  = fmts[6+2*taps]
 	)
 	if err := checkWindow(src); err != nil {
-		return nil, err
+		return err
 	}
-	// Input registers.
-	q := make([][]float64, window)
-	for y := range q {
-		q[y] = make([]float64, window)
-		for x := range q[y] {
-			q[y][x] = inFmt.Quantize(src[y][x])
+	var fx, fy *[taps]float64
+	var err error
+	if mv.FracX != 0 {
+		if fx, err = filterFor(mv.FracX); err != nil {
+			return err
 		}
 	}
-	inter := make([][]float64, window)
+	if mv.FracY != 0 {
+		if fy, err = filterFor(mv.FracY); err != nil {
+			return err
+		}
+	}
+	var inter [window][BlockSize]float64
 	for y := 0; y < window; y++ {
-		inter[y] = make([]float64, BlockSize)
+		// Input registers, one row at a time: the horizontal pass reads
+		// only its own row.
+		var q [window]float64
+		for x := range q {
+			q[x] = inFmt.Quantize(src[y][x])
+		}
 		for x := 0; x < BlockSize; x++ {
-			if mv.FracX == 0 {
-				inter[y][x] = hOutFmt.Quantize(q[y][x+3])
+			if fx == nil {
+				inter[y][x] = hOutFmt.Quantize(q[x+3])
 				continue
-			}
-			fx, err := filterFor(mv.FracX)
-			if err != nil {
-				return nil, err
 			}
 			var acc float64
 			for t := 0; t < taps; t++ {
 				if fx[t] == 0 {
 					continue
 				}
-				acc = hAccFmt.Quantize(acc + hProd[t].Quantize(fx[t]*q[y][x+t]))
+				acc = hAccFmt.Quantize(acc + hProd[t].Quantize(fx[t]*q[x+t]))
 			}
 			inter[y][x] = interF.Quantize(hOutFmt.Quantize(acc))
 		}
 	}
-	out := newBlock()
 	for y := 0; y < BlockSize; y++ {
 		for x := 0; x < BlockSize; x++ {
 			var v float64
-			if mv.FracY == 0 {
+			if fy == nil {
 				v = inter[y+3][x]
 			} else {
-				fy, err := filterFor(mv.FracY)
-				if err != nil {
-					return nil, err
-				}
 				var acc float64
 				for t := 0; t < taps; t++ {
 					if fy[t] == 0 {
@@ -248,7 +257,30 @@ func (ip *Interp) Fixed(cfg space.Config, src [][]float64, mv MotionVector) ([][
 			out[y][x] = outFmt.Quantize(v)
 		}
 	}
-	return out, nil
+	return nil
+}
+
+// blockRows copies a block into the row-slice form Fixed returns.
+func blockRows(b *[BlockSize][BlockSize]float64) [][]float64 {
+	out := newBlock()
+	for y := range out {
+		copy(out[y], b[y][:])
+	}
+	return out
+}
+
+// addSquaredError adds Σ (out - ref)² to s in row-major order and
+// returns the sum. Carried across blocks it adds the terms in the order
+// metrics.NoisePower would over the flattened blocks, so the total is
+// the same bit for bit without building the flattened sequences.
+func addSquaredError(s float64, out *[BlockSize][BlockSize]float64, ref [][]float64) float64 {
+	for y := range out {
+		for x, v := range out[y] {
+			d := v - ref[y][x]
+			s += d * d
+		}
+	}
+	return s
 }
 
 func newBlock() [][]float64 {
@@ -317,16 +349,17 @@ func (b *Benchmark) Bounds() space.Bounds { return b.ip.Bounds() }
 
 // NoisePower measures P for one configuration across all blocks.
 func (b *Benchmark) NoisePower(cfg space.Config) (float64, error) {
-	var flatFixed, flatRef []float64
+	fmts, err := b.ip.path.Formats(cfg)
+	if err != nil {
+		return 0, err
+	}
+	var out [BlockSize][BlockSize]float64
+	var s float64
 	for i := range b.srcs {
-		out, err := b.ip.Fixed(cfg, b.srcs[i], b.mvs[i])
-		if err != nil {
+		if err := b.ip.run(&out, fmts, b.srcs[i], b.mvs[i]); err != nil {
 			return 0, err
 		}
-		for y := 0; y < BlockSize; y++ {
-			flatFixed = append(flatFixed, out[y]...)
-			flatRef = append(flatRef, b.refs[i][y]...)
-		}
+		s = addSquaredError(s, &out, b.refs[i])
 	}
-	return metrics.NoisePower(flatFixed, flatRef)
+	return s / float64(len(b.srcs)*BlockSize*BlockSize), nil
 }

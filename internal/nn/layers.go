@@ -38,37 +38,78 @@ func NewConv2D(r *rng.Stream, inC, outC, k int) *Conv2D {
 
 // Forward applies the convolution.
 func (c *Conv2D) Forward(in *Tensor) (*Tensor, error) {
-	if in.C != c.InC {
-		return nil, fmt.Errorf("nn: conv expects %d input channels, got %d", c.InC, in.C)
+	var out *Tensor
+	return c.forward(&out, in)
+}
+
+// forward applies the convolution into *dst, replacing *dst with a new
+// tensor unless it already has the output's shape.
+func (c *Conv2D) forward(dst **Tensor, in *Tensor) (*Tensor, error) {
+	if err := c.checkInput(in); err != nil {
+		return nil, err
 	}
+	out := reuse(dst, c.OutC, in.H, in.W)
+	c.accumulate(out.Data, in)
+	return out, nil
+}
+
+func (c *Conv2D) checkInput(in *Tensor) error {
+	if in.C != c.InC {
+		return fmt.Errorf("nn: conv expects %d input channels, got %d", c.InC, in.C)
+	}
+	return nil
+}
+
+// accumulate writes the convolution of in into dst (OutC planes of
+// in.H×in.W). Each output plane starts at its bias and then adds w·in
+// over the whole plane for one (ic, ky, kx) tap at a time, in that
+// order, skipping the taps that fall in the zero padding. Every output
+// therefore sums exactly the terms, in exactly the order, of the
+// textbook per-pixel loop, so the result is the same bit for bit; only
+// the loop nest is turned inside out so the inner loop runs over
+// contiguous rows.
+func (c *Conv2D) accumulate(dst []float64, in *Tensor) {
+	h, w := in.H, in.W
+	plane := h * w
+	kk := c.K * c.K
 	pad := c.K / 2
-	out := NewTensor(c.OutC, in.H, in.W)
 	for oc := 0; oc < c.OutC; oc++ {
-		for y := 0; y < in.H; y++ {
-			for x := 0; x < in.W; x++ {
-				acc := c.Bias[oc]
-				for ic := 0; ic < c.InC; ic++ {
-					for ky := 0; ky < c.K; ky++ {
-						sy := y + ky - pad
-						if sy < 0 || sy >= in.H {
-							continue
-						}
-						rowW := c.Weight[((oc*c.InC+ic)*c.K+ky)*c.K:]
-						rowI := in.Data[(ic*in.H+sy)*in.W:]
-						for kx := 0; kx < c.K; kx++ {
-							sx := x + kx - pad
-							if sx < 0 || sx >= in.W {
-								continue
-							}
-							acc += rowW[kx] * rowI[sx]
+		out := dst[oc*plane : (oc+1)*plane]
+		b := c.Bias[oc]
+		for i := range out {
+			out[i] = b
+		}
+		weights := c.Weight[oc*c.InC*kk : (oc+1)*c.InC*kk]
+		for ic := 0; ic < c.InC; ic++ {
+			src := in.Data[ic*plane : (ic+1)*plane]
+			if c.K == 1 {
+				wv := weights[ic]
+				for i, v := range src {
+					out[i] += wv * v
+				}
+				continue
+			}
+			for ky := 0; ky < c.K; ky++ {
+				dy := ky - pad
+				y0, y1 := max(0, -dy), min(h, h-dy)
+				for kx := 0; kx < c.K; kx++ {
+					dx := kx - pad
+					x0, x1 := max(0, -dx), min(w, w-dx)
+					if x0 >= x1 {
+						continue
+					}
+					wv := weights[(ic*c.K+ky)*c.K+kx]
+					for y := y0; y < y1; y++ {
+						o := out[y*w+x0 : y*w+x1]
+						s := src[(y+dy)*w+x0+dx : (y+dy)*w+x1+dx]
+						for i, v := range s {
+							o[i] += wv * v
 						}
 					}
 				}
-				out.Set(oc, y, x, acc)
 			}
 		}
 	}
-	return out, nil
 }
 
 // ReLU applies max(0, x) element-wise, in place, and returns its input.
@@ -84,11 +125,18 @@ func ReLU(t *Tensor) *Tensor {
 // MaxPool2 halves the spatial dimensions with a 2×2/stride-2 max pool.
 // Odd trailing rows/columns are dropped (floor semantics).
 func MaxPool2(in *Tensor) (*Tensor, error) {
+	var out *Tensor
+	return maxPool2(&out, in)
+}
+
+// maxPool2 is MaxPool2 into *dst, replacing *dst with a new tensor
+// unless it already has the output's shape.
+func maxPool2(dst **Tensor, in *Tensor) (*Tensor, error) {
 	oh, ow := in.H/2, in.W/2
 	if oh == 0 || ow == 0 {
 		return nil, fmt.Errorf("nn: maxpool on %dx%d spatial input", in.H, in.W)
 	}
-	out := NewTensor(in.C, oh, ow)
+	out := reuse(dst, in.C, oh, ow)
 	for c := 0; c < in.C; c++ {
 		for y := 0; y < oh; y++ {
 			for x := 0; x < ow; x++ {
@@ -112,14 +160,17 @@ func MaxPool2(in *Tensor) (*Tensor, error) {
 // GlobalAvgPool reduces each channel to its spatial mean, returning a
 // C-length vector.
 func GlobalAvgPool(in *Tensor) []float64 {
-	out := make([]float64, in.C)
-	n := float64(in.H * in.W)
-	for c := 0; c < in.C; c++ {
+	return globalAvgPool(make([]float64, in.C), in)
+}
+
+// globalAvgPool is GlobalAvgPool into out (len in.C), which it returns.
+func globalAvgPool(out []float64, in *Tensor) []float64 {
+	plane := in.H * in.W
+	n := float64(plane)
+	for c := range out {
 		var s float64
-		for y := 0; y < in.H; y++ {
-			for x := 0; x < in.W; x++ {
-				s += in.At(c, y, x)
-			}
+		for _, v := range in.Data[c*plane : (c+1)*plane] {
+			s += v
 		}
 		out[c] = s / n
 	}
@@ -188,23 +239,29 @@ func (f *Fire) OutC() int { return f.Expand1x1.OutC + f.Expand3x3.OutC }
 
 // Forward applies the module (ReLU after squeeze and after each expand).
 func (f *Fire) Forward(in *Tensor) (*Tensor, error) {
-	s, err := f.Squeeze.Forward(in)
+	var out, squeezed *Tensor
+	return f.forward(&out, &squeezed, in)
+}
+
+// forward applies the module into *dst, using *squeezed for the squeeze
+// output; either is replaced by a new tensor unless it already has the
+// right shape. The two expand convolutions write straight into their
+// channel ranges of the output, which is the concatenation.
+func (f *Fire) forward(dst, squeezed **Tensor, in *Tensor) (*Tensor, error) {
+	s, err := f.Squeeze.forward(squeezed, in)
 	if err != nil {
 		return nil, err
 	}
 	ReLU(s)
-	e1, err := f.Expand1x1.Forward(s)
-	if err != nil {
+	if err := f.Expand1x1.checkInput(s); err != nil {
 		return nil, err
 	}
-	e3, err := f.Expand3x3.Forward(s)
-	if err != nil {
+	if err := f.Expand3x3.checkInput(s); err != nil {
 		return nil, err
 	}
-	ReLU(e1)
-	ReLU(e3)
-	out := NewTensor(e1.C+e3.C, in.H, in.W)
-	copy(out.Data[:len(e1.Data)], e1.Data)
-	copy(out.Data[len(e1.Data):], e3.Data)
-	return out, nil
+	out := reuse(dst, f.OutC(), in.H, in.W)
+	split := f.Expand1x1.OutC * in.H * in.W
+	f.Expand1x1.accumulate(out.Data[:split], s)
+	f.Expand3x3.accumulate(out.Data[split:], s)
+	return ReLU(out), nil
 }

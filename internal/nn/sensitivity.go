@@ -78,12 +78,13 @@ func NewSensitivityBenchmark(seed uint64, nImages int) (*SensitivityBenchmark, e
 		StepLog2:  0.5,
 		IndexMax:  28,
 	}
+	acts := &activations{}
 	for i := range b.Images {
-		cls, err := b.Net.Classify(b.tensor(i), nil)
+		logits, err := b.Net.forward(b.tensor(i), nil, acts)
 		if err != nil {
 			return nil, fmt.Errorf("nn: reference classification of image %d: %w", i, err)
 		}
-		b.refs = append(b.refs, cls)
+		b.refs = append(b.refs, Argmax(logits))
 	}
 	return b, nil
 }
@@ -124,17 +125,21 @@ func (b *SensitivityBenchmark) Evaluate(cfg space.Config) (float64, error) {
 		}
 		inj.Power[i] = b.Power(k)
 	}
+	// One set of activation buffers serves every image of this call;
+	// it is not shared with other calls, so concurrent evaluations stay
+	// independent.
+	acts := &activations{}
 	agree := 0
 	for i := range b.Images {
 		// Reseed per image so the noise realisation is independent of
 		// evaluation order and identical across repeated evaluations of
 		// the same configuration.
 		inj.r = rng.NewNamed(b.seed^uint64(i+1)*0x9e3779b97f4a7c15, "squeezenet-noise")
-		cls, err := b.Net.Classify(b.tensor(i), inj)
+		logits, err := b.Net.forward(b.tensor(i), inj, acts)
 		if err != nil {
 			return 0, err
 		}
-		if cls == b.refs[i] {
+		if Argmax(logits) == b.refs[i] {
 			agree++
 		}
 	}

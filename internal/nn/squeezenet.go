@@ -58,13 +58,30 @@ type Injector interface {
 	Inject(li int, t *Tensor)
 }
 
+// activations holds the per-layer output buffers of one forward pass.
+// A caller that classifies many same-shaped images passes the same
+// activations to every pass, so the buffers are allocated once instead
+// of once per layer per image. The logits forward returns live in it
+// too and are overwritten by the next pass.
+type activations struct {
+	conv1, conv10 *Tensor
+	pool          [3]*Tensor
+	fire, squeeze [8]*Tensor
+	logits        []float64
+}
+
 // Forward classifies one image tensor, returning the class logits.
 // After each of the ten layers the optional injector is applied,
 // modelling an approximation error source at that layer's output
 // (paper: "An error source is injected at the output of each layer of
 // the network").
 func (n *SqueezeNet) Forward(img *Tensor, inj Injector) ([]float64, error) {
-	t, err := n.Conv1.Forward(img)
+	return n.forward(img, inj, &activations{})
+}
+
+// forward is Forward with its intermediate tensors and logits in a.
+func (n *SqueezeNet) forward(img *Tensor, inj Injector, a *activations) ([]float64, error) {
+	t, err := n.Conv1.forward(&a.conv1, img)
 	if err != nil {
 		return nil, fmt.Errorf("nn: conv1: %w", err)
 	}
@@ -72,11 +89,11 @@ func (n *SqueezeNet) Forward(img *Tensor, inj Injector) ([]float64, error) {
 	if inj != nil {
 		inj.Inject(0, t)
 	}
-	if t, err = MaxPool2(t); err != nil {
+	if t, err = maxPool2(&a.pool[0], t); err != nil {
 		return nil, err
 	}
 	for i, f := range n.Fires {
-		if t, err = f.Forward(t); err != nil {
+		if t, err = f.forward(&a.fire[i], &a.squeeze[i], t); err != nil {
 			return nil, fmt.Errorf("nn: fire%d: %w", i+2, err)
 		}
 		if inj != nil {
@@ -85,12 +102,12 @@ func (n *SqueezeNet) Forward(img *Tensor, inj Injector) ([]float64, error) {
 		// Pools after fire3 and fire7, shrinking 8x8 → 4x4 → 2x2 for a
 		// 16x16 input.
 		if i == 1 || i == 5 {
-			if t, err = MaxPool2(t); err != nil {
+			if t, err = maxPool2(&a.pool[1+i/4], t); err != nil {
 				return nil, err
 			}
 		}
 	}
-	t, err = n.Conv10.Forward(t)
+	t, err = n.Conv10.forward(&a.conv10, t)
 	if err != nil {
 		return nil, fmt.Errorf("nn: conv10: %w", err)
 	}
@@ -98,7 +115,10 @@ func (n *SqueezeNet) Forward(img *Tensor, inj Injector) ([]float64, error) {
 	if inj != nil {
 		inj.Inject(9, t)
 	}
-	return GlobalAvgPool(t), nil
+	if len(a.logits) != t.C {
+		a.logits = make([]float64, t.C)
+	}
+	return globalAvgPool(a.logits, t), nil
 }
 
 // Classify returns the argmax class of one image.

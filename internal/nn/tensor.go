@@ -21,6 +21,16 @@ func NewTensor(c, h, w int) *Tensor {
 	return &Tensor{C: c, H: h, W: w, Data: make([]float64, c*h*w)}
 }
 
+// reuse returns *t when it already has shape (c, h, w), and otherwise
+// stores a new zeroed tensor of that shape into *t and returns it. The
+// layers that write through it overwrite every element.
+func reuse(t **Tensor, c, h, w int) *Tensor {
+	if *t == nil || (*t).C != c || (*t).H != h || (*t).W != w {
+		*t = NewTensor(c, h, w)
+	}
+	return *t
+}
+
 // At returns element (c, y, x).
 func (t *Tensor) At(c, y, x int) float64 { return t.Data[(c*t.H+y)*t.W+x] }
 

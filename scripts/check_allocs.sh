@@ -15,11 +15,15 @@
 #   - store/wal: warm Log.Append group commit         (O(1) per batch)
 #   - evaluator: exact-hit Evaluate                   (0 allocs)
 #                steady-state interpolated Evaluate   (<= 1 alloc)
+#   - fixed:     Format.Quantize                      (0 allocs)
+#   - hevc:      luma/chroma NoisePower               (<= 1 alloc, any block count)
+#   - nn:        SensitivityBenchmark.Evaluate        (<= 1 extra alloc per image)
 #
 # Run from the repository root:  sh scripts/check_allocs.sh
 set -eu
 
 go test -count=1 -run 'TestAllocs|TestSolveIntoAllocs' \
     ./internal/linalg ./internal/kriging ./internal/store \
-    ./internal/store/wal ./internal/evaluator
+    ./internal/store/wal ./internal/evaluator \
+    ./internal/fixed ./internal/hevc ./internal/nn
 echo "allocation gates OK"
