@@ -133,6 +133,9 @@ func ReplayModed(trace Trace, opts Options, kind ErrorKind, mode ReplayMode) (Re
 	if opts.Interp == nil {
 		return ReplayRow{}, fmt.Errorf("%w: Replay needs an explicit or default interpolator", ErrBadOptions)
 	}
+	if mode != ModePaper && mode != ModeFinalSim && mode != ModeLive {
+		return ReplayRow{}, fmt.Errorf("evaluator: unknown replay mode %d", mode)
+	}
 	// Deduplicate: a revisited configuration is a free exact lookup, not
 	// a new tested configuration in the paper's percentages.
 	seen := make(map[string]bool, len(trace))
@@ -147,80 +150,86 @@ func ReplayModed(trace Trace, opts Options, kind ErrorKind, mode ReplayMode) (Re
 	}
 
 	row := ReplayRow{D: opts.D, ErrKind: kind, N: len(pts)}
+	var eps metrics.Summary
+	var sumNeigh int
+	// One reused query buffer serves every radius and k-nearest query of
+	// the replay, and the kriging inputs reuse their own buffers: the
+	// interpolator keeps copies of whatever it retains.
+	var nb store.Neighborhood
+	var ys, x []float64
+	score := func(sup *store.Neighborhood, tp TracePoint) {
+		vals := sup.Values
+		if opts.Transform != nil {
+			ys = ys[:0]
+			for _, v := range sup.Values {
+				ys = append(ys, opts.Transform(v))
+			}
+			vals = ys
+		}
+		x = x[:0]
+		for _, v := range tp.Config {
+			x = append(x, float64(v))
+		}
+		pred, err := opts.Interp.Predict(sup.Coords, vals, x)
+		if err != nil {
+			row.KrigFailures++
+			return
+		}
+		if opts.Untransform != nil {
+			pred = opts.Untransform(pred)
+		}
+		sumNeigh += sup.Len()
+		eps.Add(epsilon(kind, pred, tp.Lambda))
+	}
 
 	// Pass 1 — the sequential simulate-or-interpolate decision of
 	// Algorithms 1-2: a point is interpolated when strictly more than
 	// Nn,min already-simulated points lie within d; interpolated points
-	// never enter the support store.
+	// never enter the support store. At each decision st holds exactly
+	// the points simulated before it, in trace order, which is the live
+	// support.
 	st := store.New(opts.Metric)
 	interp := make([]bool, len(pts))
 	for i, tp := range pts {
-		if opts.D > 0 && st.Neighbors(tp.Config, opts.D).Len() > opts.NnMin {
+		if opts.D > 0 && st.NeighborsInto(&nb, tp.Config, opts.D).Len() > opts.NnMin {
 			interp[i] = true
 			row.NInterp++
+			if mode == ModeLive {
+				score(st.NearestKInto(&nb, tp.Config, opts.D, opts.MaxSupport), tp)
+			}
 			continue
 		}
 		st.Add(tp.Config, tp.Lambda)
 		row.NSim++
 	}
 
-	// Pass 2 — value computation and error measurement. The support
-	// stores of this pass hold whole recorded sets, so they go through
-	// the amortized bulk-write path rather than per-Add publication.
-	all := store.New(opts.Metric)
-	if mode == ModePaper {
+	// Pass 2 — the offline supports, which need the whole recorded or
+	// simulated set. The points are scored in trace order, as pass 1
+	// scores the live ones.
+	switch mode {
+	case ModePaper:
+		// All other recorded configurations within d, true values. The
+		// query itself is in the store at distance zero and, the points
+		// being deduplicated, it is the only entry there: asking for one
+		// more than the cap and dropping it gives the nearest others in
+		// the order NearestK gives them.
+		all := store.New(opts.Metric)
 		all.AddBatch(pts.Entries())
-	}
-	var eps metrics.Summary
-	var sumNeigh int
-	for i, tp := range pts {
-		if !interp[i] {
-			continue
+		k := 0
+		if opts.MaxSupport > 0 {
+			k = opts.MaxSupport + 1
 		}
-		var nb *store.Neighborhood
-		switch mode {
-		case ModePaper:
-			// All other recorded configurations within d, true values.
-			// The query itself is in the store at distance zero; the
-			// points are deduplicated, so dropping zero-distance entries
-			// removes exactly the query.
-			nb = all.Neighbors(tp.Config, opts.D)
-			nb = nb.WithoutZeroDistance()
-		case ModeFinalSim:
-			nb = st.Neighbors(tp.Config, opts.D)
-		case ModeLive:
-			// Rebuild the past-only support: simulated points that
-			// precede this query in the trace.
-			past := make([]store.Entry, 0, i)
-			for j := 0; j < i; j++ {
-				if !interp[j] {
-					past = append(past, store.Entry{Config: pts[j].Config, Lambda: pts[j].Lambda})
-				}
-			}
-			live := store.New(opts.Metric)
-			live.AddBatch(past)
-			nb = live.Neighbors(tp.Config, opts.D)
-		default:
-			return ReplayRow{}, fmt.Errorf("evaluator: unknown replay mode %d", mode)
-		}
-		nb = nb.NearestK(opts.MaxSupport)
-		ys := nb.Values
-		if opts.Transform != nil {
-			ys = make([]float64, len(nb.Values))
-			for k, v := range nb.Values {
-				ys[k] = opts.Transform(v)
+		for i, tp := range pts {
+			if interp[i] {
+				score(withoutQuery(all.NearestKInto(&nb, tp.Config, opts.D, k)), tp)
 			}
 		}
-		pred, err := opts.Interp.Predict(nb.Coords, ys, tp.Config.Floats())
-		if err != nil {
-			row.KrigFailures++
-			continue
+	case ModeFinalSim:
+		for i, tp := range pts {
+			if interp[i] {
+				score(st.NearestKInto(&nb, tp.Config, opts.D, opts.MaxSupport), tp)
+			}
 		}
-		if opts.Untransform != nil {
-			pred = opts.Untransform(pred)
-		}
-		sumNeigh += nb.Len()
-		eps.Add(epsilon(kind, pred, tp.Lambda))
 	}
 	if row.N > 0 {
 		row.Percent = 100 * float64(row.NInterp) / float64(row.N)
@@ -233,6 +242,20 @@ func ReplayModed(trace Trace, opts Options, kind ErrorKind, mode ReplayMode) (Re
 	row.EpsInfCount = eps.InfCount()
 	row.Decisions = row.N
 	return row, nil
+}
+
+// withoutQuery drops the single zero-distance support point, the query
+// itself, from nb in place, keeping the order of the others.
+func withoutQuery(nb *store.Neighborhood) *store.Neighborhood {
+	for i, d := range nb.Dists {
+		if d == 0 {
+			nb.Coords = append(nb.Coords[:i], nb.Coords[i+1:]...)
+			nb.Values = append(nb.Values[:i], nb.Values[i+1:]...)
+			nb.Dists = append(nb.Dists[:i], nb.Dists[i+1:]...)
+			break
+		}
+	}
+	return nb
 }
 
 func epsilon(kind ErrorKind, lambdaHat, lambda float64) float64 {

@@ -112,7 +112,7 @@ func TestBallL1MatchesBruteForce(t *testing.T) {
 	for _, radius := range []int{0, 1, 2, 4} {
 		want := map[string]bool{}
 		b.Enumerate(func(c Config) bool {
-			if L1(c, center) <= radius && !c.Equal(center) {
+			if serialL1(c, center) <= radius && !c.Equal(center) {
 				want[c.Key()] = true
 			}
 			return true
@@ -180,7 +180,7 @@ func TestPropertyBallWithinRadiusAndBounds(t *testing.T) {
 		radius := r.Intn(5)
 		ok := true
 		b.BallL1(center, radius, false, func(c Config) bool {
-			if L1(c, center) > radius || !b.Contains(c) || c.Equal(center) {
+			if serialL1(c, center) > radius || !b.Contains(c) || c.Equal(center) {
 				ok = false
 				return false
 			}

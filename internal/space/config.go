@@ -69,28 +69,37 @@ func (c Config) With(i, v int) Config {
 	return out
 }
 
-// The distance kernels below are unrolled four-wide with paired
-// accumulators: the store's radius scan evaluates them against every
-// stored entry (store NeighborsInto/NearestKInto), so they are among the
-// hottest scalar loops in the system. Integer sums are exact under
-// reordering, and the float accumulators pair up the same way in every
-// call, so results are deterministic and identical across call sites.
+// The bounded distance kernels below serve the store's radius scan
+// (store NeighborsInto/NearestKInto), which evaluates them against every
+// stored entry, so they are among the hottest scalar loops in the system.
+// Each is unrolled four-wide and sums exact integers, so the result does
+// not depend on the summation order. After every four-wide block the
+// kernel stops once the partial sum is past its integer limit: the sum
+// only grows, so that entry can no longer be within d. The limit is the
+// largest integer sum that still passes the final dist <= d test, so an
+// early stop never drops a hit, and every entry that is scanned to the
+// end gets exactly the distance and verdict of the full computation.
 
-// L1 returns the L1 (Manhattan) distance between two configurations,
-// the distance used by the paper (||w - w_sim||_1).
-func L1(a, b Config) int {
-	n := len(a)
-	if n != len(b) {
-		panic("space: L1 on configs of different dimension")
-	}
-	b = b[:n]
-	var s0, s1 int
-	i := 0
-	for ; i+3 < n; i += 4 {
-		d0 := a[i] - b[i]
-		d1 := a[i+1] - b[i+1]
-		d2 := a[i+2] - b[i+2]
-		d3 := a[i+3] - b[i+3]
+// noStop is the integer limit that never stops a scan early.
+const noStop = math.MaxInt
+
+// exactInts bounds the integer sums whose float64 conversion is exact
+// (2^53). A radius at or above it gets no early stop: past it, rounding
+// can make float64(s) <= d hold for an integer s > floor(d).
+const exactInts = 1 << 53
+
+// withinL1 sums |a_i - b_i| and reports false as soon as a four-wide
+// block leaves the partial sum above limit. On false the returned sum is
+// a partial one.
+func withinL1(a, b Config, limit int) (int, bool) {
+	b = b[:len(a)]
+	var s int
+	for len(a) >= 4 {
+		x, y := a[:4], b[:4]
+		d0 := x[0] - y[0]
+		d1 := x[1] - y[1]
+		d2 := x[2] - y[2]
+		d3 := x[3] - y[3]
 		if d0 < 0 {
 			d0 = -d0
 		}
@@ -103,55 +112,55 @@ func L1(a, b Config) int {
 		if d3 < 0 {
 			d3 = -d3
 		}
-		s0 += d0 + d2
-		s1 += d1 + d3
+		s += (d0 + d2) + (d1 + d3)
+		if s > limit {
+			return s, false
+		}
+		a, b = a[4:], b[4:]
 	}
-	for ; i < n; i++ {
-		d := a[i] - b[i]
+	for i, v := range a {
+		d := v - b[i]
 		if d < 0 {
 			d = -d
 		}
-		s0 += d
+		s += d
 	}
-	return s0 + s1
+	return s, s <= limit
 }
 
-// L2 returns the Euclidean distance between two configurations.
-func L2(a, b Config) float64 {
-	n := len(a)
-	if n != len(b) {
-		panic("space: L2 on configs of different dimension")
+// withinL2 is withinL1 for the sum of squared differences.
+func withinL2(a, b Config, limit int) (int, bool) {
+	b = b[:len(a)]
+	var s int
+	for len(a) >= 4 {
+		x, y := a[:4], b[:4]
+		d0 := x[0] - y[0]
+		d1 := x[1] - y[1]
+		d2 := x[2] - y[2]
+		d3 := x[3] - y[3]
+		s += (d0*d0 + d2*d2) + (d1*d1 + d3*d3)
+		if s > limit {
+			return s, false
+		}
+		a, b = a[4:], b[4:]
 	}
-	b = b[:n]
-	var s0, s1 float64
-	i := 0
-	for ; i+1 < n; i += 2 {
-		d0 := float64(a[i] - b[i])
-		d1 := float64(a[i+1] - b[i+1])
-		s0 += d0 * d0
-		s1 += d1 * d1
+	for i, v := range a {
+		d := v - b[i]
+		s += d * d
 	}
-	if i < n {
-		d := float64(a[i] - b[i])
-		s0 += d * d
-	}
-	return math.Sqrt(s0 + s1)
+	return s, s <= limit
 }
 
-// LInf returns the Chebyshev distance between two configurations.
-func LInf(a, b Config) int {
-	n := len(a)
-	if n != len(b) {
-		panic("space: LInf on configs of different dimension")
-	}
-	b = b[:n]
-	var m0, m1 int
-	i := 0
-	for ; i+3 < n; i += 4 {
-		d0 := a[i] - b[i]
-		d1 := a[i+1] - b[i+1]
-		d2 := a[i+2] - b[i+2]
-		d3 := a[i+3] - b[i+3]
+// withinLInf is withinL1 for the largest absolute difference.
+func withinLInf(a, b Config, limit int) (int, bool) {
+	b = b[:len(a)]
+	var m int
+	for len(a) >= 4 {
+		x, y := a[:4], b[:4]
+		d0 := x[0] - y[0]
+		d1 := x[1] - y[1]
+		d2 := x[2] - y[2]
+		d3 := x[3] - y[3]
 		if d0 < 0 {
 			d0 = -d0
 		}
@@ -170,26 +179,54 @@ func LInf(a, b Config) int {
 		if d3 > d1 {
 			d1 = d3
 		}
-		if d0 > m0 {
-			m0 = d0
+		if d1 > d0 {
+			d0 = d1
 		}
-		if d1 > m1 {
-			m1 = d1
+		if d0 > m {
+			m = d0
+			if m > limit {
+				return m, false
+			}
 		}
+		a, b = a[4:], b[4:]
 	}
-	for ; i < n; i++ {
-		d := a[i] - b[i]
+	for i, v := range a {
+		d := v - b[i]
 		if d < 0 {
 			d = -d
 		}
-		if d > m0 {
-			m0 = d
+		if d > m {
+			m = d
 		}
 	}
-	if m1 > m0 {
-		return m1
+	return m, m <= limit
+}
+
+// floorLimit is the largest integer s with float64(s) <= d, for a d that
+// is neither NaN nor negative; noStop where float64 rounding would make
+// that bound inexact.
+func floorLimit(d float64) int {
+	if d >= exactInts {
+		return noStop
 	}
-	return m0
+	return int(d) // truncation is floor for d >= 0
+}
+
+// squareLimit is the largest integer sum of squares s with
+// math.Sqrt(float64(s)) <= d, for a d that is neither NaN nor negative;
+// noStop where d*d leaves the exactly representable integers.
+func squareLimit(d float64) int {
+	if d*d >= exactInts {
+		return noStop
+	}
+	// In round-to-nearest arithmetic math.Sqrt(d*d) == d, so the
+	// truncated square passes; the next integers may still round to a
+	// root <= d.
+	s := int(d * d)
+	for math.Sqrt(float64(s+1)) <= d {
+		s++
+	}
+	return s
 }
 
 // Metric identifies a distance function on the configuration hypercube.
@@ -216,16 +253,34 @@ func (m Metric) String() string {
 	}
 }
 
-// Distance evaluates the metric between two configurations as a float64
-// (integral metrics are widened).
-func (m Metric) Distance(a, b Config) float64 {
+// Within reports whether a and b lie within distance d of each other
+// under the metric, and if so their distance as a float64 (integral
+// metrics are widened). It is exactly dist <= d on the full distance,
+// with the same dist, but it stops reading coordinates once the partial
+// distance is past d, so the distance it returns with false is only a
+// lower bound. A NaN or negative d admits nothing; a d of 2^53 or more
+// (+Inf included) never stops early. Configurations of different
+// dimension panic whatever d is.
+func (m Metric) Within(a, b Config, d float64) (float64, bool) {
+	if len(a) != len(b) {
+		panic("space: distance on configs of different dimension")
+	}
+	if !(d >= 0) {
+		return 0, false
+	}
 	switch m {
 	case MetricL1:
-		return float64(L1(a, b))
+		s, ok := withinL1(a, b, floorLimit(d))
+		dist := float64(s)
+		return dist, ok && dist <= d
 	case MetricL2:
-		return L2(a, b)
+		s, ok := withinL2(a, b, squareLimit(d))
+		dist := math.Sqrt(float64(s))
+		return dist, ok && dist <= d
 	case MetricLInf:
-		return float64(LInf(a, b))
+		s, ok := withinLInf(a, b, floorLimit(d))
+		dist := float64(s)
+		return dist, ok && dist <= d
 	default:
 		panic("space: unknown metric")
 	}

@@ -1,6 +1,7 @@
 package space
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -61,40 +62,41 @@ func TestWith(t *testing.T) {
 }
 
 func TestL1Known(t *testing.T) {
-	if L1(Config{1, 2, 3}, Config{3, 2, 0}) != 5 {
+	if fullDistance(MetricL1, Config{1, 2, 3}, Config{3, 2, 0}) != 5 {
 		t.Error("L1 wrong")
 	}
-	if L1(Config{}, Config{}) != 0 {
+	if fullDistance(MetricL1, Config{}, Config{}) != 0 {
 		t.Error("L1 of empty configs should be 0")
 	}
 }
 
 func TestL2Known(t *testing.T) {
-	if d := L2(Config{0, 0}, Config{3, 4}); d != 5 {
+	if d := fullDistance(MetricL2, Config{0, 0}, Config{3, 4}); d != 5 {
 		t.Errorf("L2 = %v, want 5", d)
 	}
 }
 
 func TestLInfKnown(t *testing.T) {
-	if LInf(Config{1, 10}, Config{3, 2}) != 8 {
+	if fullDistance(MetricLInf, Config{1, 10}, Config{3, 2}) != 8 {
 		t.Error("LInf wrong")
 	}
 }
 
+// TestDistancePanicsOnDimMismatch pins the dimension check of the
+// bounded kernel: it panics whatever d is, including a d that admits
+// nothing.
 func TestDistancePanicsOnDimMismatch(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"L1":   func() { L1(Config{1}, Config{1, 2}) },
-		"L2":   func() { L2(Config{1}, Config{1, 2}) },
-		"LInf": func() { LInf(Config{1}, Config{1, 2}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s dimension mismatch did not panic", name)
-				}
+	for _, m := range []Metric{MetricL1, MetricL2, MetricLInf} {
+		for _, d := range []float64{5, 0, -1, math.NaN(), math.Inf(1)} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s d=%v: dimension mismatch did not panic", m, d)
+					}
+				}()
+				m.Within(Config{1}, Config{1, 2}, d)
 			}()
-			fn()
-		}()
+		}
 	}
 }
 
@@ -106,21 +108,17 @@ func TestMetricString(t *testing.T) {
 
 func TestMetricDistanceAgreesWithFunctions(t *testing.T) {
 	a, b := Config{1, 5, 2}, Config{4, 5, 0}
-	if MetricL1.Distance(a, b) != float64(L1(a, b)) {
-		t.Error("MetricL1 disagrees with L1")
-	}
-	if MetricL2.Distance(a, b) != L2(a, b) {
-		t.Error("MetricL2 disagrees with L2")
-	}
-	if MetricLInf.Distance(a, b) != float64(LInf(a, b)) {
-		t.Error("MetricLInf disagrees with LInf")
+	for _, m := range []Metric{MetricL1, MetricL2, MetricLInf} {
+		if got, want := fullDistance(m, a, b), serialDistance(m, a, b); got != want {
+			t.Errorf("%s: Within = %v, serial reference %v", m, got, want)
+		}
 	}
 }
 
 func TestDistanceFloatsAgreesWithInts(t *testing.T) {
 	a, b := Config{1, 5, 2}, Config{4, 5, 0}
 	for _, m := range []Metric{MetricL1, MetricL2, MetricLInf} {
-		if m.Distance(a, b) != m.DistanceFloats(a.Floats(), b.Floats()) {
+		if fullDistance(m, a, b) != m.DistanceFloats(a.Floats(), b.Floats()) {
 			t.Errorf("%s float/int distance mismatch", m)
 		}
 	}
@@ -141,14 +139,14 @@ func TestPropertyMetricAxioms(t *testing.T) {
 		n := 1 + r.Intn(6)
 		a, b, c := randConfig(r, n), randConfig(r, n), randConfig(r, n)
 		for _, m := range []Metric{MetricL1, MetricL2, MetricLInf} {
-			dab, dba := m.Distance(a, b), m.Distance(b, a)
+			dab, dba := fullDistance(m, a, b), fullDistance(m, b, a)
 			if dab != dba {
 				return false
 			}
-			if m.Distance(a, a) != 0 {
+			if fullDistance(m, a, a) != 0 {
 				return false
 			}
-			if m.Distance(a, c) > m.Distance(a, b)+m.Distance(b, c)+1e-12 {
+			if fullDistance(m, a, c) > fullDistance(m, a, b)+fullDistance(m, b, c)+1e-12 {
 				return false
 			}
 		}
@@ -165,9 +163,9 @@ func TestPropertyNormOrdering(t *testing.T) {
 		r := rng.New(seed)
 		n := 1 + r.Intn(6)
 		a, b := randConfig(r, n), randConfig(r, n)
-		linf := MetricLInf.Distance(a, b)
-		l2 := MetricL2.Distance(a, b)
-		l1 := MetricL1.Distance(a, b)
+		linf := fullDistance(MetricLInf, a, b)
+		l2 := fullDistance(MetricL2, a, b)
+		l1 := fullDistance(MetricL1, a, b)
 		return linf <= l2+1e-12 && l2 <= l1+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

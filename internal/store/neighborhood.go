@@ -138,29 +138,3 @@ func (nb *Neighborhood) NearestK(k int) *Neighborhood {
 	}
 	return out
 }
-
-// WithoutZeroDistance returns a copy of the neighbourhood with the
-// zero-distance entries removed (used to exclude the query point itself
-// from leave-one-out style supports).
-func (nb *Neighborhood) WithoutZeroDistance() *Neighborhood {
-	n := 0
-	for _, d := range nb.Dists {
-		if d != 0 {
-			n++
-		}
-	}
-	out := &Neighborhood{
-		Coords: make([][]float64, 0, n),
-		Values: make([]float64, 0, n),
-		Dists:  make([]float64, 0, n),
-	}
-	for i, d := range nb.Dists {
-		if d == 0 {
-			continue
-		}
-		out.Coords = append(out.Coords, nb.Coords[i])
-		out.Values = append(out.Values, nb.Values[i])
-		out.Dists = append(out.Dists, d)
-	}
-	return out
-}

@@ -126,16 +126,6 @@ func TestNearestK(t *testing.T) {
 	}
 }
 
-func TestWithoutZeroDistance(t *testing.T) {
-	s := New(space.MetricL1)
-	s.Add(space.Config{0}, 1)
-	s.Add(space.Config{2}, 2)
-	nb := s.Neighbors(space.Config{0}, 5).WithoutZeroDistance()
-	if nb.Len() != 1 || nb.Dists[0] != 2 {
-		t.Errorf("WithoutZeroDistance = %+v", nb)
-	}
-}
-
 func TestEntriesCopyAndOrder(t *testing.T) {
 	s := New(space.MetricL1)
 	s.Add(space.Config{5}, 1)

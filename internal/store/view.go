@@ -224,15 +224,13 @@ func nearestKInto(buf *Neighborhood, v *view, metric space.Metric, w space.Confi
 
 // collect gathers every live entry within distance <= d of w into the
 // buffer's hits with one scan of the view — lines 7-16 of Algorithms
-// 1-2.
+// 1-2. The bounded kernel stops each distance once it is past d, and
+// liveness (an atomic load) is read only for entries in range.
 func collect(buf *Neighborhood, v *view, metric space.Metric, w space.Config, d float64) {
 	hits := buf.q.hits[:0]
 	n := len(v.entries)
 	for _, e := range v.entries {
-		if !e.live(n) {
-			continue
-		}
-		if dist := metric.Distance(w, e.cfg); dist <= d {
+		if dist, ok := metric.Within(w, e.cfg, d); ok && e.live(n) {
 			hits = append(hits, hit{e: e, dist: dist})
 		}
 	}
